@@ -1,25 +1,32 @@
-//! Galil-style allocation by bisection on the marginal value λ.
+//! Galil-style allocation on the marginal value λ, and the one λ
+//! root-finder the workspace shares.
 //!
 //! For concave utilities, the optimal single-pool allocation equalizes
 //! marginal utilities: there is a "price" `λ*` such that every thread takes
 //! `x_i(λ*) = sup { x ≤ cap_i : f_i′(x) ≥ λ* }` and the demands sum to the
 //! budget. Total demand `D(λ) = Σ x_i(λ)` is nonincreasing in λ, so `λ*`
-//! is found by binary search — the `O(n (log B)²)`-flavor algorithm the
-//! paper cites as \[16\] (Galil).
+//! is a monotone root — found by search, the approach of the paper's
+//! reference \[16\] (Galil).
 //!
-//! The search produces a bracket `[λ_hi-demand ≤ B ≤ λ_lo-demand]`
-//! collapsed to floating-point resolution; the leftover `B − D(λ_hi)` is
-//! then spread over the threads that are *marginal* at the final price
-//! (their demand jumps across the bracket — piecewise-linear utilities hit
-//! this case at every kink). For strictly concave smooth utilities the
-//! bracket collapse alone reaches machine precision.
+//! [`find_root`] is the only such search in the workspace. The allocator
+//! here (cold, warm, sequential, parallel, budgeted) and the
+//! price-discovery backend in `aa-core` (global clearing and per-server
+//! refinement) all call it. It probes a start price (`1.0` cold, the
+//! previous answer warm), walks geometrically until the root is
+//! bracketed, and refines with a safeguarded secant step and a midpoint
+//! every sixth probe. It stops when the bracket collapses to adjacent
+//! floats, or — price discovery only — when demand lies within a
+//! tolerance of supply.
 //!
-//! [`allocate`] and [`allocate_par`] share every line of algorithmic
-//! logic — the parallel entry point only swaps the per-thread map
-//! (`inverse_derivative`, `cap`, `value`) from a sequential loop to a
-//! pool fan-out, and the vendored `rayon`'s determinism contract
-//! (order-stable collect, sequential reduction) makes the two
-//! **bit-identical** for every thread count.
+//! **Bit-identity.** Every compiled demand kernel is exactly
+//! nonincreasing in λ (pinned one ulp at a time by `aa-utility`'s
+//! `demand_monotone` test), and every sweep sums in index order, so the
+//! predicate `D(λ) > budget` flips at one unique pair of adjacent floats.
+//! A search that collapses lands on that pair whatever its start price
+//! and steps. The allocation is a function of the pair alone — the
+//! demands at its high price, plus the leftover spread over the threads
+//! whose demand jumps across it — so cold, warm, sequential, parallel
+//! and budgeted allocations agree bit for bit, at every pool width.
 
 use aa_utility::{DemandTable, Utility};
 use rayon::prelude::*;
@@ -43,14 +50,10 @@ fn obs_counters() -> &'static (aa_obs::Counter, aa_obs::Counter, aa_obs::Counter
     })
 }
 
-/// Number of bisection iterations. 128 halvings shrink any initial bracket
-/// below f64 resolution; the budget-repair step mops up whatever remains.
-const MAX_ITERS: u32 = 128;
-
-/// Thread-count threshold past which [`allocate_par`] fans the per-λ
-/// demand evaluation out over the thread pool. Below it the sequential
-/// path is faster (the fork-join overhead exceeds the work); results are
-/// identical either way.
+/// Thread-count threshold past which the parallel entry points spread a
+/// sweep over the thread pool. Below it the sequential loop is faster (the
+/// fork-join overhead exceeds the work); results are identical either
+/// way.
 ///
 /// This is the shared workspace crossover from [`crate::tuning`]
 /// (env-overridable via `AA_PAR_THRESHOLD`, parsed once); the
@@ -73,392 +76,480 @@ impl std::fmt::Display for Interrupted {
 
 impl std::error::Error for Interrupted {}
 
-/// Per-thread evaluation strategy: everything the bisection needs from
-/// the utility slice, as whole-slice maps so the parallel strategy can
-/// fan each one out. Each map is a pure per-element function, so the
-/// sequential and parallel strategies return identical vectors.
-///
-/// The demand map goes through the compiled [`DemandTable`] — the
-/// struct-of-arrays kernel — rather than per-element virtual dispatch;
-/// the table's bit-identity contract keeps all strategies exact.
-///
-/// `None` means the strategy's pool observed a cancel token mid-map; the
-/// infallible strategies ([`Seq`], [`Par`]) always return `Some`.
-trait EvalStrategy<U: Utility> {
-    /// `cap_i` for every thread.
-    fn caps(&self, utils: &[U]) -> Option<Vec<f64>>;
-    /// One demand sweep: `out[i] = x_i(λ)` into the reused buffer, plus
-    /// the index-order sum (the same additions, in the same order, for
-    /// every strategy — the bit-identity backbone).
-    fn demands_into(
-        &self,
-        table: &DemandTable,
-        utils: &[U],
-        lambda: f64,
-        out: &mut Vec<f64>,
-    ) -> Option<f64>;
-    /// `Σ f_i(x_i)` (summed in index order).
-    fn total_utility(&self, utils: &[U], amounts: &[f64]) -> Option<f64> {
-        Some(
-            self.values(utils, amounts)?
-                .into_iter()
-                .sum(),
-        )
-    }
-    /// `f_i(x_i)` per thread, in index order (the `total_utility`
-    /// helper: materializing before folding keeps the sum sequential
-    /// and therefore bit-identical across strategies).
-    fn values(&self, utils: &[U], amounts: &[f64]) -> Option<Vec<f64>>;
+/// How a whole-slice map runs. Every mode writes the same value into
+/// each slot, and callers fold the slice sequentially in index order,
+/// so results are bit-identical across modes and pool widths.
+#[derive(Debug, Clone, Copy)]
+enum Fanout<'t> {
+    /// A plain loop on the calling thread.
+    Seq,
+    /// Disjoint contiguous chunks over the pool once the slice holds
+    /// [`par_threshold`] elements (a plain loop below it). With a token,
+    /// the pool abandons unclaimed chunks when it fires.
+    Par(Option<&'t CancelToken>),
 }
 
-/// Plain sequential loops.
-struct Seq;
-
-impl<U: Utility> EvalStrategy<U> for Seq {
-    fn caps(&self, utils: &[U]) -> Option<Vec<f64>> {
-        Some(utils.iter().map(|f| f.cap()).collect())
+impl Fanout<'_> {
+    /// Run `fill(start, chunk)` over `out` split into chunks, where
+    /// `chunk[k]` is slot `start + k`. `None` when the token fired.
+    fn fill(self, out: &mut [f64], fill: impl Fn(usize, &mut [f64]) + Sync) -> Option<()> {
+        let n = out.len();
+        let token = match self {
+            Fanout::Par(token) if n >= par_threshold() => token,
+            _ => {
+                fill(0, out);
+                return Some(());
+            }
+        };
+        let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1);
+        let chunks = out
+            .chunks_mut(chunk)
+            .enumerate()
+            .collect::<Vec<_>>()
+            .into_par_iter();
+        let run = |(k, slot): (usize, &mut [f64])| fill(k * chunk, slot);
+        match token {
+            Some(token) => chunks.for_each_cancellable(token, run).ok(),
+            None => {
+                chunks.for_each(run);
+                Some(())
+            }
+        }
     }
-    fn demands_into(
-        &self,
+
+    /// One demand sweep `out[i] = x_i(λ)` through the compiled kernel;
+    /// returns the index-order sum. The table's bit-identity contract
+    /// makes each slot equal `utils[i].inverse_derivative(lambda)`.
+    fn sweep<U: Utility>(
+        self,
         table: &DemandTable,
         utils: &[U],
         lambda: f64,
-        out: &mut Vec<f64>,
+        out: &mut [f64],
     ) -> Option<f64> {
-        Some(table_demands_into(table, utils, lambda, out))
-    }
-    fn values(&self, utils: &[U], amounts: &[f64]) -> Option<Vec<f64>> {
-        Some(utils.iter().zip(amounts).map(|(f, &x)| f.value(x)).collect())
-    }
-}
-
-/// Pool fan-out per map. Requires `U: Sync`; bit-identical to [`Seq`]:
-/// the demand sweep writes each slot by index in parallel, then the sum
-/// folds sequentially on the calling thread in index order.
-struct Par;
-
-impl<U: Utility + Sync> EvalStrategy<U> for Par {
-    fn caps(&self, utils: &[U]) -> Option<Vec<f64>> {
-        Some(utils.par_iter().map(|f| f.cap()).collect())
-    }
-    fn demands_into(
-        &self,
-        table: &DemandTable,
-        utils: &[U],
-        lambda: f64,
-        out: &mut Vec<f64>,
-    ) -> Option<f64> {
-        out.clear();
-        out.resize(utils.len(), 0.0);
-        out.par_iter_mut()
-            .zip(0..utils.len())
-            .for_each(|(slot, i)| *slot = table.eval(utils, i, lambda));
+        self.fill(out, |start, chunk| {
+            table.batch_range(utils, lambda, start, chunk)
+        })?;
         Some(out.iter().sum())
     }
-    fn values(&self, utils: &[U], amounts: &[f64]) -> Option<Vec<f64>> {
-        Some(
-            utils
-                .par_iter()
-                .zip(amounts)
-                .map(|(f, &x)| f.value(x))
-                .collect(),
-        )
-    }
 }
 
-/// [`Par`] with every fan-out driven through a [`CancelToken`]: the pool
-/// abandons unclaimed chunks when the token fires and the map reports
-/// `None`. While the token stays clear, results are bit-identical to
-/// [`Par`] (and hence [`Seq`]) — same maps, same index order, same
-/// sequential folds.
-struct ParCancel<'t>(&'t CancelToken);
-
-impl<U: Utility + Sync> EvalStrategy<U> for ParCancel<'_> {
-    fn caps(&self, utils: &[U]) -> Option<Vec<f64>> {
-        utils.par_iter().map(|f| f.cap()).collect_cancellable(self.0).ok()
-    }
-    fn demands_into(
-        &self,
-        table: &DemandTable,
-        utils: &[U],
-        lambda: f64,
-        out: &mut Vec<f64>,
-    ) -> Option<f64> {
-        out.clear();
-        out.resize(utils.len(), 0.0);
-        out.par_iter_mut()
-            .zip(0..utils.len())
-            .for_each_cancellable(self.0, |(slot, i)| *slot = table.eval(utils, i, lambda))
-            .ok()?;
-        Some(out.iter().sum())
-    }
-    fn values(&self, utils: &[U], amounts: &[f64]) -> Option<Vec<f64>> {
-        utils
-            .par_iter()
-            .zip(amounts)
-            .map(|(f, &x)| f.value(x))
-            .collect_cancellable(self.0)
-            .ok()
-    }
+/// One demand sweep `out[i] = x_i(λ)` spread over the pool once `n`
+/// reaches [`par_threshold`], without the sum: the price backend's
+/// placement sweep. Bit-identical to the sequential sweep at any pool
+/// width.
+pub fn par_sweep<U: Utility>(table: &DemandTable, utils: &[U], lambda: f64, out: &mut [f64]) {
+    let _ = Fanout::Par(None).fill(out, |start, chunk| {
+        table.batch_range(utils, lambda, start, chunk)
+    });
 }
 
-/// The next float above a positive finite `x`.
-#[inline]
+/// The next float above a non-negative `x` (`+∞` stays put).
 fn next_up(x: f64) -> f64 {
-    debug_assert!(x.is_finite() && x > 0.0);
-    f64::from_bits(x.to_bits() + 1)
+    if x == f64::INFINITY {
+        x
+    } else {
+        f64::from_bits(x.to_bits() + 1)
+    }
 }
 
-/// All-discrete fast path: when every element compiled to a unit-scale
-/// staircase, total demand `D(λ)` is a finite staircase whose knots all
-/// sit on the table's merged [`ladder`](DemandTable::ladder), and the
-/// predicate `D(λ) > budget` is *exactly* `λ ≤ t` for the largest knot
-/// `t` with `D(t) > budget` (per-element staircase demands are exactly
-/// nonincreasing in λ and rounded float addition is monotone in each
-/// operand, so the index-order sum inherits exact monotonicity). The
-/// generic bisection's collapsed bracket is therefore the adjacent-float
-/// pair `(t, nextafter(t))` — this routine finds it by binary search
-/// over the ladder, `O(log k)` sweeps instead of ~130.
+/// The next float below a positive `x` (`+∞` steps to `f64::MAX`).
+fn next_down(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() - 1)
+}
+
+/// Every this many probes the search takes a midpoint instead of a
+/// secant step, which keeps the worst case within a constant factor of
+/// plain bisection.
+const MIDPOINT_EVERY: u32 = 6;
+
+/// Where a root search starts and when it may stop early.
+#[derive(Debug, Clone, Copy)]
+pub struct Search<'a> {
+    /// The first probe: `1.0` cold, the previous answer warm. A start
+    /// that is not positive and finite probes `1.0`.
+    pub start: f64,
+    /// Stop at the first probe with `|D(λ) − supply| < tol·supply`. At
+    /// `0.0` the search always collapses the bracket.
+    pub tol: f64,
+    /// Ascending positive prices outside which `D` is constant — an
+    /// all-discrete table's [`ladder`](DemandTable::ladder). When
+    /// non-empty, every probe is the middle ladder price left inside the
+    /// bracket (`start` is ignored), and a bracket holding no ladder
+    /// price inside is collapsed without another probe.
+    pub ladder: &'a [f64],
+}
+
+/// How a root search ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Root {
+    /// Adjacent floats `lo < hi` with `D(lo) > supply ≥ D(hi) = d_hi`:
+    /// the unique pair where the predicate flips. `lo` may be `0`,
+    /// which is never probed.
+    Collapsed {
+        /// The last price whose demand exceeds supply.
+        lo: f64,
+        /// The first price whose demand fits supply.
+        hi: f64,
+        /// `D(hi)`.
+        d_hi: f64,
+    },
+    /// A probe whose demand lies strictly within `tol·supply` of supply.
+    Within {
+        /// The accepted price.
+        lambda: f64,
+    },
+    /// Demand exceeds supply at every price up to `f64::MAX`.
+    Unbracketed,
+}
+
+/// Find the price where the nonincreasing demand `D(λ)` meets `supply`.
 ///
-/// Returns `None` whenever it cannot *prove* the generic search would
-/// collapse onto that pair — no positive knot over budget (the generic
-/// loop then exits at [`MAX_ITERS`] with a sub-resolution bracket), `t`
-/// below [`WARM_MIN_PRICE`], or the float gap at `t` too small for 128
-/// halvings from the generic starting bracket. Callers fall back to the
-/// generic loop, never emulate it.
-fn discrete_flip<U, S, E>(
-    table: &DemandTable,
+/// `demand(λ)` sweeps every element at `λ > 0` and returns the total; an
+/// `Err` aborts the search and is returned verbatim. `d_zero = D(0)`
+/// must exceed `supply` (callers answer the saturated case without a
+/// search), so `λ = 0` is the bracket's known low end and is never
+/// probed.
+///
+/// Each step probes strictly inside the current bracket `(lo, hi)`:
+///
+/// * a secant step through the last two probes (the first step uses the
+///   point at `λ = 0`), kept when it falls inside the bracket — clamped
+///   one float in from either end, and to `8·lo` while `hi` is still
+///   unknown. While the bracket spans more than 1% the secant runs in
+///   log–log coordinates, where demand curves of power-law shape are
+///   straight lines, so it crosses decades of price in a step or two;
+///   inside it, where the curve is locally linear, it runs in `(λ, D)`;
+/// * otherwise, and on every sixth probe, a midpoint:
+///   with `hi` unknown (or `lo` still `0`) a geometric walk up (down)
+///   whose stride squares at each use — `2, 4, 16, 256, …` — then the
+///   geometric mean while `hi > 4·lo`, then the arithmetic mean.
+///
+/// Every probe lies strictly inside the bracket, so the search ends.
+pub fn find_root<E>(
+    search: Search<'_>,
+    supply: f64,
+    d_zero: f64,
+    mut demand: impl FnMut(f64) -> Result<f64, E>,
+) -> Result<Root, E> {
+    debug_assert!(d_zero > supply, "D(0) must exceed supply");
+    let ladder = search.ladder;
+    let (mut lo, mut hi, mut d_hi) = (0.0_f64, f64::INFINITY, f64::NAN);
+    // The previous probe and its demand, for the secant step.
+    let (mut last, mut last_d) = (0.0_f64, d_zero);
+    let mut stride = 2.0_f64;
+    let mut x = if search.start > 0.0 && search.start.is_finite() {
+        search.start
+    } else {
+        1.0
+    };
+    for probe in 1_u32.. {
+        if !ladder.is_empty() {
+            let first = ladder.partition_point(|&t| t <= lo);
+            let end = ladder.partition_point(|&t| t < hi);
+            x = if first < end {
+                ladder[first + (end - first) / 2]
+            } else if hi < f64::INFINITY {
+                // `D` is constant on `(lo, hi]`: the flip is at `lo`.
+                return Ok(Root::Collapsed {
+                    lo,
+                    hi: next_up(lo),
+                    d_hi,
+                });
+            } else if lo == ladder[ladder.len() - 1] {
+                next_up(lo)
+            } else {
+                return Ok(Root::Unbracketed);
+            };
+        }
+        let d = demand(x)?;
+        let g = d - supply;
+        if g.abs() < search.tol * supply {
+            return Ok(Root::Within { lambda: x });
+        }
+        if g > 0.0 {
+            lo = x;
+        } else {
+            (hi, d_hi) = (x, d);
+        }
+        if next_up(lo) >= hi {
+            return Ok(Root::Collapsed { lo, hi, d_hi });
+        }
+        if lo == f64::MAX {
+            return Ok(Root::Unbracketed);
+        }
+        let secant = if hi > 1.01 * lo && last > 0.0 && d > 0.0 && last_d > 0.0 {
+            // A positive float's bit pattern is 2⁵²·log₂ of it plus a
+            // constant, to within 0.09 in the logarithm: the secant on
+            // bit patterns is a log–log secant without calling libm, and
+            // stepping the pattern by whole ulps keeps small steps exact.
+            let diff = |a: f64, b: f64| (a.to_bits() as i64 - b.to_bits() as i64) as f64;
+            let shift = diff(d, supply) * diff(x, last) / diff(d, last_d);
+            if shift.is_finite() {
+                let t = (x.to_bits() as i64).saturating_sub(shift as i64);
+                f64::from_bits(t.max(0) as u64)
+            } else {
+                f64::NAN
+            }
+        } else {
+            x - g * (x - last) / (d - last_d)
+        };
+        (last, last_d) = (x, d);
+        x = if probe % MIDPOINT_EVERY != 0 && lo <= secant && secant <= hi {
+            if hi < f64::INFINITY {
+                secant
+            } else {
+                secant.min(8.0 * lo)
+            }
+        } else if hi == f64::INFINITY || lo == 0.0 {
+            let step = if lo == 0.0 { hi / stride } else { lo * stride };
+            stride *= stride;
+            step
+        } else if hi > 4.0 * lo {
+            lo.sqrt() * hi.sqrt()
+        } else {
+            lo + 0.5 * (hi - lo)
+        };
+        x = x.clamp(next_up(lo), next_down(hi));
+    }
+    unreachable!("the bracket shrinks by at least one float per probe")
+}
+
+/// How a warm allocation went: the benchmark's cold-vs-warm comparison
+/// reports `demand_maps`, the whole-slice evaluations that dominate the
+/// allocator's running time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WarmStats {
+    /// Whole-slice demand maps evaluated (each is `O(n)`); `0` when the
+    /// budget saturates every cap.
+    pub demand_maps: u32,
+}
+
+/// Warm-start state for [`allocate_warm_into`]: the previous answer's
+/// price plus every buffer the search needs, so a steady-state call
+/// performs no heap allocation at all (buffers are resized within their
+/// retained capacity).
+#[derive(Debug, Clone, Default)]
+pub struct WarmCache {
+    /// The high end of the previous collapsed bracket, where the next
+    /// search starts; `None` starts cold at `1.0`.
+    price: Option<f64>,
+    caps: Vec<f64>,
+    /// Per-element demands at the latest probe whose total exceeded the
+    /// budget, at the latest one that fit, and at the probe in flight.
+    d_lo: Vec<f64>,
+    d_hi: Vec<f64>,
+    d_probe: Vec<f64>,
+    /// The compiled demand kernel, recompiled per call (utilities drift
+    /// between epochs); its buffers retain capacity, so steady-state
+    /// recompiles allocate nothing.
+    table: DemandTable,
+    stats: WarmStats,
+}
+
+impl WarmCache {
+    /// An empty cache: the first allocation through it starts cold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forget the previous price: the next call starts cold. Called
+    /// automatically when an interruptible warm allocation aborts.
+    pub fn invalidate(&mut self) {
+        self.price = None;
+    }
+
+    /// Telemetry of the most recent call through this cache.
+    pub fn last_stats(&self) -> WarmStats {
+        self.stats
+    }
+
+    /// The price the next search starts from, if a completed solve
+    /// pinned one.
+    pub fn price(&self) -> Option<f64> {
+        self.price
+    }
+}
+
+/// Converts a cancelled sweep into the caller's error: prefer the
+/// check's own diagnosis (it knows *why* the token fired), fall back to
+/// the bare marker.
+fn interrupted<E: From<Interrupted>>(check: &mut dyn FnMut() -> Result<(), E>) -> E {
+    match check() {
+        Err(e) => e,
+        Ok(()) => Interrupted.into(),
+    }
+}
+
+/// The allocator behind every entry point. Searches from `start` for the
+/// collapsed bracket (through the all-discrete ladder when `use_ladder`
+/// and the table allows), then writes the demands at its high price plus
+/// the spread leftover into `amounts`. Returns the high price, or `None`
+/// when the budget saturates every cap. `check` runs once up front, once
+/// per demand sweep and once before the spread, so a firing deadline
+/// overshoots by at most one sweep.
+#[allow(clippy::too_many_arguments)]
+fn allocate_into<U, E>(
     utils: &[U],
     budget: f64,
-    strategy: &S,
-    probe: &mut Vec<f64>,
-    sweeps: &mut u32,
+    start: f64,
+    use_ladder: bool,
+    fanout: Fanout<'_>,
+    cache: &mut WarmCache,
+    amounts: &mut Vec<f64>,
     check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<Option<(f64, f64)>, E>
+) -> Result<Option<f64>, E>
 where
     U: Utility,
-    S: EvalStrategy<U>,
     E: From<Interrupted>,
 {
-    let ladder = table.ladder();
-    if ladder.is_empty() {
+    assert!(
+        budget >= 0.0 && budget.is_finite(),
+        "budget must be finite and ≥ 0"
+    );
+    check()?;
+    let WarmCache {
+        caps,
+        d_lo,
+        d_hi,
+        d_probe,
+        table,
+        stats,
+        ..
+    } = cache;
+    *stats = WarmStats::default();
+    caps.clear();
+    caps.extend(utils.iter().map(|f| f.cap()));
+    let total_cap: f64 = caps.iter().sum();
+    amounts.clear();
+    if budget >= total_cap {
+        amounts.extend_from_slice(caps);
         return Ok(None);
     }
-    let mut demand = |lambda: f64,
-                      sweeps: &mut u32,
-                      check: &mut dyn FnMut() -> Result<(), E>|
-     -> Result<f64, E> {
-        check()?;
-        *sweeps += 1;
-        match strategy.demands_into(table, utils, lambda, probe) {
-            Some(d) => Ok(d),
-            None => Err(match check() {
-                Err(e) => e,
-                Ok(()) => Interrupted.into(),
-            }),
-        }
+
+    table.compile(utils);
+    for buf in [&mut *d_lo, &mut *d_hi, &mut *d_probe] {
+        buf.resize(utils.len(), 0.0);
+    }
+    let ladder = if use_ladder && table.all_discrete() {
+        table.ladder()
+    } else {
+        &[]
     };
-    // D is maximal over positive prices at the smallest knot; if even
-    // that fits the budget, no positive knot flips the predicate.
-    if demand(ladder[0], sweeps, check)? <= budget {
-        return Ok(None);
+    let root = find_root(
+        Search {
+            start,
+            tol: 0.0,
+            ladder,
+        },
+        budget,
+        total_cap,
+        |lambda| {
+            check()?;
+            stats.demand_maps += 1;
+            let d = match fanout.sweep(table, utils, lambda, d_probe) {
+                Some(d) => d,
+                None => return Err(interrupted(check)),
+            };
+            // Each probe becomes the bracket's new low or high end, so the
+            // latest sweep on each side holds the final ends' demands.
+            std::mem::swap(d_probe, if d > budget { &mut *d_lo } else { &mut *d_hi });
+            Ok(d)
+        },
+    )?;
+    if aa_obs::record_enabled() {
+        obs_counters().2.add(u64::from(stats.demand_maps));
     }
-    // Largest index with D(ladder[i]) > budget: ladder[0] is known true,
-    // indices past the flip are false (D nonincreasing).
-    let mut lo_i = 0_usize;
-    let mut hi_i = ladder.len();
-    while hi_i - lo_i > 1 {
-        let mid = lo_i + (hi_i - lo_i) / 2;
-        if demand(ladder[mid], sweeps, check)? > budget {
-            lo_i = mid;
-        } else {
-            hi_i = mid;
-        }
+    let Root::Collapsed {
+        lo,
+        hi,
+        d_hi: spent,
+    } = root
+    else {
+        panic!("could not bracket the marginal price; utility derivatives do not decay");
+    };
+
+    check()?;
+    amounts.extend_from_slice(d_hi);
+    let leftover = budget - spent;
+    if leftover > 0.0 {
+        // Every kernel demands its cap at λ = 0.
+        spread_leftover(amounts, if lo == 0.0 { caps } else { d_lo }, caps, leftover);
     }
-    let t = ladder[lo_i];
-    if t < WARM_MIN_PRICE {
-        // The generic search may not collapse this low (see the warm
-        // module notes); only it knows its own answer.
-        return Ok(None);
-    }
-    let hi = next_up(t);
-    // The generic bracket starts at width ≤ hi_grown (the first power of
-    // two above t, or 1); 128 halvings must reach the float gap at t.
-    let mut hi_grown = 1.0_f64;
-    while hi_grown <= t {
-        hi_grown *= 2.0;
-    }
-    if hi_grown * 2.0_f64.powi(-126) >= hi - t {
-        return Ok(None);
-    }
-    // Verification sweep: the flip really is at (t, nextafter(t)). The
-    // encodings guarantee it (demand past the top knot is the zero
-    // level), but one sweep buys insurance against a miscompiled table.
-    if demand(hi, sweeps, check)? > budget {
-        return Ok(None);
-    }
-    Ok(Some((t, hi)))
+    Ok(Some(hi))
 }
 
-/// The full algorithm, generic over the evaluation strategy and an
-/// interruption check. `check` is consulted once up front, once per
-/// bracket-growth step, once per bisection iteration, and once before the
-/// leftover spread — so a firing deadline overshoots by at most ~one
-/// demand map. A strategy returning `None` (pool-level cancellation)
-/// aborts with whatever `check` reports, falling back to
-/// [`Interrupted`] when `check` still says `Ok` (an external cancel that
-/// raced ahead of the caller's own bookkeeping).
-///
-/// The utility slice is compiled into a [`DemandTable`] once up front;
-/// every demand sweep then runs through the struct-of-arrays kernel.
-/// With `use_ladder`, an all-discrete table routes through
-/// [`discrete_flip`] before falling back to the generic search; either
-/// way the final bracket is the same unique adjacent-float pair, so the
-/// results are bit-identical.
-fn allocate_impl<U, S, E>(
+/// Spread `leftover` over the threads whose demand is elastic across the
+/// final bracket (proportionally to their slack `lo_amounts − amounts`),
+/// then pour numerical crumbs into any remaining cap in index order.
+fn spread_leftover(amounts: &mut [f64], lo_amounts: &[f64], caps: &[f64], mut leftover: f64) {
+    let mut total_slack = 0.0;
+    for (&a, &b) in lo_amounts.iter().zip(amounts.iter()) {
+        total_slack += (a - b).max(0.0);
+    }
+    if total_slack > 0.0 {
+        let frac = (leftover / total_slack).min(1.0);
+        for (amt, &a) in amounts.iter_mut().zip(lo_amounts) {
+            let s = (a - *amt).max(0.0);
+            *amt += frac * s;
+        }
+        leftover -= frac * total_slack;
+    }
+    if leftover > 0.0 {
+        for (amt, &cap) in amounts.iter_mut().zip(caps) {
+            let room = cap - *amt;
+            if room > 0.0 {
+                let add = room.min(leftover);
+                *amt += add;
+                leftover -= add;
+                if leftover <= 0.0 {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// A cold allocation with its utility `Σ f_i(x_i)` (index-order sum).
+fn allocate_impl<U, E>(
     utils: &[U],
     budget: f64,
-    strategy: &S,
     use_ladder: bool,
+    fanout: Fanout<'_>,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<Allocation, E>
 where
     U: Utility,
-    S: EvalStrategy<U>,
     E: From<Interrupted>,
 {
-    assert!(budget >= 0.0 && budget.is_finite(), "budget must be finite and ≥ 0");
     let _span = aa_obs::span!("bisection");
     if aa_obs::record_enabled() {
         obs_counters().0.inc();
     }
-    check()?;
-    let n = utils.len();
-    if n == 0 {
-        return Ok(Allocation {
-            amounts: vec![],
-            utility: 0.0,
-        });
-    }
-
-    // Converts a strategy-level `None` into the caller's error: prefer
-    // the check's own diagnosis (it knows *why* the token fired), fall
-    // back to the bare marker.
-    fn interrupted<E: From<Interrupted>>(check: &mut dyn FnMut() -> Result<(), E>) -> E {
-        match check() {
-            Err(e) => e,
-            Ok(()) => Interrupted.into(),
+    let mut amounts = Vec::new();
+    allocate_into(
+        utils,
+        budget,
+        1.0,
+        use_ladder,
+        fanout,
+        &mut WarmCache::new(),
+        &mut amounts,
+        check,
+    )?;
+    let mut values = vec![0.0; utils.len()];
+    let filled = fanout.fill(&mut values, |start, chunk| {
+        for (k, v) in chunk.iter_mut().enumerate() {
+            *v = utils[start + k].value(amounts[start + k]);
         }
+    });
+    if filled.is_none() {
+        return Err(interrupted(check));
     }
-
-    // Ample budget: everyone saturates.
-    let caps: Vec<f64> = match strategy.caps(utils) {
-        Some(v) => v,
-        None => return Err(interrupted(check)),
-    };
-    let total_cap: f64 = caps.iter().sum();
-    if budget >= total_cap {
-        let amounts = caps;
-        let utility = match strategy.total_utility(utils, &amounts) {
-            Some(u) => u,
-            None => return Err(interrupted(check)),
-        };
-        return Ok(Allocation { amounts, utility });
-    }
-
-    // Compile the struct-of-arrays demand kernel for this slice: one
-    // pass now buys ~130 virtual-dispatch-free sweeps below.
-    let mut table = DemandTable::new();
-    table.compile(utils);
-    let mut sweeps: u32 = 0;
-    let mut probe: Vec<f64> = Vec::with_capacity(n);
-
-    let ladder_bracket = if use_ladder && table.all_discrete() {
-        discrete_flip(&table, utils, budget, strategy, &mut probe, &mut sweeps, check)?
-    } else {
-        None
-    };
-
-    let (lo, hi) = match ladder_bracket {
-        Some(pair) => pair,
-        None => {
-            // Bracket the price. At λ = 0 demand is Σ caps > budget
-            // (checked above). Grow λ_hi geometrically until demand fits
-            // under the budget; derivatives may be +∞ at x = 0 but are
-            // finite for x > 0, so demand eventually drops below any
-            // positive budget... except when some utility has infinite
-            // derivative on a set of positive measure, which no concave
-            // function has.
-            let mut lo = 0.0_f64;
-            let mut hi = 1.0_f64;
-            let mut grow = 0;
-            loop {
-                check()?;
-                sweeps += 1;
-                match strategy.demands_into(&table, utils, hi, &mut probe) {
-                    None => return Err(interrupted(check)),
-                    Some(d) if d > budget => {
-                        lo = hi;
-                        hi *= 2.0;
-                        grow += 1;
-                        assert!(
-                            grow < 1100,
-                            "could not bracket the marginal price; utility derivatives do not decay"
-                        );
-                    }
-                    Some(_) => break,
-                }
-            }
-
-            // Invariant: demand(lo) > budget ≥ demand(hi).
-            for _ in 0..MAX_ITERS {
-                let mid = 0.5 * (lo + hi);
-                if mid <= lo || mid >= hi {
-                    break; // bracket collapsed to adjacent floats
-                }
-                check()?;
-                sweeps += 1;
-                match strategy.demands_into(&table, utils, mid, &mut probe) {
-                    None => return Err(interrupted(check)),
-                    Some(d) if d > budget => lo = mid,
-                    Some(_) => hi = mid,
-                }
-            }
-            (lo, hi)
-        }
-    };
-
-    // Base allocation at the high price (fits in the budget), then spread
-    // the leftover over threads whose demand is elastic across the bracket
-    // — the marginal threads sitting exactly at the price.
-    check()?;
-    let spent = match strategy.demands_into(&table, utils, hi, &mut probe) {
-        Some(s) => s,
-        None => return Err(interrupted(check)),
-    };
-    sweeps += 1;
-    let mut amounts: Vec<f64> = probe.clone();
-    let leftover = budget - spent;
-    if leftover > 0.0 {
-        match strategy.demands_into(&table, utils, lo, &mut probe) {
-            Some(_) => {}
-            None => return Err(interrupted(check)),
-        }
-        sweeps += 1;
-        spread_leftover(&mut amounts, &probe, &caps, leftover);
-    }
-
-    // Per-sweep accounting: one increment per whole-slice demand map,
-    // matching the warm wrappers' granularity.
-    if aa_obs::record_enabled() {
-        obs_counters().2.add(u64::from(sweeps));
-    }
-
-    let utility = match strategy.total_utility(utils, &amounts) {
-        Some(u) => u,
-        None => return Err(interrupted(check)),
-    };
-    Ok(Allocation { amounts, utility })
+    Ok(Allocation {
+        utility: values.iter().sum(),
+        amounts,
+    })
 }
 
 /// Unwrap an allocation whose strategy and check are both infallible.
@@ -497,60 +588,64 @@ fn expect_complete(result: Result<Allocation, Interrupted>) -> Allocation {
 /// assert!((alloc.amounts[1] - 4.0).abs() < 1e-6);
 /// ```
 pub fn allocate<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(utils, budget, &Seq, true, &mut || Ok(())))
+    expect_complete(allocate_impl(utils, budget, true, Fanout::Seq, &mut || {
+        Ok(())
+    }))
 }
 
-/// [`allocate`] with the all-discrete ladder fast path disabled: always
-/// runs the generic bracket-growth + 128-halving search. **Bit-identical**
-/// to [`allocate`] on every input (the ladder only ever lands on the
-/// bracket the generic search would collapse to); exists as the reference
-/// arm for differential tests and benchmarks of the discrete path.
+/// [`allocate`] with the all-discrete ladder switched off: the search
+/// probes by secant and midpoint even on staircase demand.
+/// **Bit-identical** to [`allocate`] on every input (both collapse onto
+/// the same unique pair); exists as the reference arm for differential
+/// tests and benchmarks of the discrete path.
 pub fn allocate_generic<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(utils, budget, &Seq, false, &mut || Ok(())))
+    expect_complete(allocate_impl(
+        utils,
+        budget,
+        false,
+        Fanout::Seq,
+        &mut || Ok(()),
+    ))
 }
 
-/// Diagnostic: the adjacent-float bracket the all-discrete ladder fast
-/// path would hand the epilogue for this instance, or `None` when the
-/// ladder disengages (mixed/non-staircase utilities, saturating budget,
-/// no positive knot over budget, or an unprovable collapse). `Some` means
-/// [`allocate`] answered — or would answer — this instance with
-/// `O(log k)` demand sweeps instead of ~130.
+/// Diagnostic: the adjacent-float bracket the all-discrete ladder lands
+/// on for this instance, or `None` when the ladder disengages
+/// (mixed/non-staircase utilities, saturating budget) or the flip sits at
+/// price `0` (no positive ladder price over budget). `Some` means
+/// [`allocate`] answers this instance with `O(log k)` demand sweeps.
 pub fn discrete_ladder_bracket<U: Utility>(utils: &[U], budget: f64) -> Option<(f64, f64)> {
     if !(budget >= 0.0 && budget.is_finite()) {
         return None;
     }
     let mut table = DemandTable::new();
     table.compile(utils);
-    if !table.all_discrete() {
+    let total_cap: f64 = utils.iter().map(|f| f.cap()).sum();
+    if !table.all_discrete() || budget >= total_cap {
         return None;
     }
-    let total_cap: f64 = utils.iter().map(|f| f.cap()).sum();
-    if budget >= total_cap {
-        return None; // saturation answers before any bracket search
-    }
-    let mut probe = Vec::with_capacity(utils.len());
-    let mut sweeps = 0_u32;
-    match discrete_flip::<U, Seq, Interrupted>(
-        &table,
-        utils,
-        budget,
-        &Seq,
-        &mut probe,
-        &mut sweeps,
-        &mut || Ok(()),
-    ) {
-        Ok(b) => b,
-        Err(Interrupted) => unreachable!("infallible check cannot interrupt"),
+    let mut out = vec![0.0; utils.len()];
+    let search = Search {
+        start: 1.0,
+        tol: 0.0,
+        ladder: table.ladder(),
+    };
+    let root = find_root(search, budget, total_cap, |lambda| {
+        Fanout::Seq
+            .sweep(&table, utils, lambda, &mut out)
+            .ok_or(Interrupted)
+    });
+    match root {
+        Ok(Root::Collapsed { lo, hi, .. }) if lo > 0.0 => Some((lo, hi)),
+        _ => None,
     }
 }
 
 /// [`allocate`] with a cooperative interruption check, the building
-/// block for deadline-budgeted solving. `check` is called at iteration
-/// granularity (once up front, per bracket-growth step, per bisection
-/// iteration, and before the leftover spread); its first `Err` aborts
-/// the allocation and is returned verbatim. With a check that never
-/// fires the result is **bit-identical** to [`allocate`] — same code
-/// path, the checks do not touch the numerics.
+/// block for deadline-budgeted solving. `check` is called once up front,
+/// once per demand sweep, and before the leftover spread; its first
+/// `Err` aborts the allocation and is returned verbatim. With a check
+/// that never fires the result is **bit-identical** to [`allocate`] —
+/// same code path, the checks do not touch the numerics.
 pub fn allocate_interruptible<U, E>(
     utils: &[U],
     budget: f64,
@@ -560,25 +655,23 @@ where
     U: Utility,
     E: From<Interrupted>,
 {
-    allocate_impl(utils, budget, &Seq, true, check)
+    allocate_impl(utils, budget, true, Fanout::Seq, check)
 }
 
-/// [`allocate`] with the per-λ demand evaluation fanned out over the
-/// thread pool once `utils.len() ≥ `[`par_threshold`]. **Bit-identical**
-/// to [`allocate`] for every thread count (`AA_NUM_THREADS`, or a scoped
-/// `rayon::with_threads`): the two share one implementation, and the
-/// vendored pool materializes per-thread values in index order and sums
-/// them sequentially.
-///
-/// The bisection performs ~130 demand evaluations, each an independent
-/// map over all threads — embarrassingly parallel at web-scale instance
-/// sizes (`n` in the hundreds of thousands), where the super-optimal
-/// allocation is the entire running time of Algorithm 2.
-pub fn allocate_par<U: Utility + Sync>(utils: &[U], budget: f64) -> Allocation {
-    if utils.len() < par_threshold() {
-        return allocate(utils, budget);
-    }
-    expect_complete(allocate_impl(utils, budget, &Par, true, &mut || Ok(())))
+/// [`allocate`] with every demand sweep and the utility map spread over
+/// the thread pool once `utils.len() ≥ `[`par_threshold`].
+/// **Bit-identical** to [`allocate`] for every thread count
+/// (`AA_NUM_THREADS`, or a scoped `rayon::with_threads`): the two share
+/// one implementation, and every map writes slots by index and is
+/// summed sequentially.
+pub fn allocate_par<U: Utility>(utils: &[U], budget: f64) -> Allocation {
+    expect_complete(allocate_impl(
+        utils,
+        budget,
+        true,
+        Fanout::Par(None),
+        &mut || Ok(()),
+    ))
 }
 
 /// [`allocate_par`] with a cooperative interruption check *and* a
@@ -587,8 +680,7 @@ pub fn allocate_par<U: Utility + Sync>(utils: &[U], budget: f64) -> Allocation {
 /// when it fires (reported as `Err` via `check`'s diagnosis, or
 /// [`Interrupted`] if `check` still says `Ok`). While neither fires the
 /// result is **bit-identical** to [`allocate_par`] and [`allocate`] for
-/// every thread count: the cancellable collect is order-stable and the
-/// folds stay sequential.
+/// every thread count.
 pub fn allocate_par_interruptible<U, E>(
     utils: &[U],
     budget: f64,
@@ -596,534 +688,45 @@ pub fn allocate_par_interruptible<U, E>(
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<Allocation, E>
 where
-    U: Utility + Sync,
+    U: Utility,
     E: From<Interrupted>,
 {
-    if utils.len() < par_threshold() {
-        return allocate_interruptible(utils, budget, check);
-    }
-    allocate_impl(utils, budget, &ParCancel(token), true, check)
+    allocate_impl(utils, budget, true, Fanout::Par(Some(token)), check)
 }
 
 // ---- warm-started allocation ----
 //
 // The online settings (serve loops, epoch controllers, churn repair)
-// re-solve instances that drift slowly: a handful of threads arrive or
-// depart, utilities shift a little, the budget stays put. The marginal
-// price λ* then barely moves, so re-running the full cold search — a
-// geometric bracket growth plus up to 128 halvings, each a whole-slice
-// demand map — wastes almost all of its work rediscovering a bracket we
-// already hold. [`allocate_warm_into`] keeps the previous collapsed
-// bracket in a [`WarmCache`] and answers the next call with a few demand
-// maps: revalidate the old adjacent-float pair (2 maps), or re-bracket
-// around the previous water level with a delta-derived margin and
-// collapse by secant (finite-difference Newton) steps.
-//
-// **Bit-identity contract.** Total demand `D(λ)` is nonincreasing in λ —
-// each thread's `inverse_derivative` is nonincreasing and the sum is
-// taken in fixed index order, so the floating-point sums inherit the
-// monotonicity (an assumption about the utility implementations,
-// validated by the differential tests). The predicate `D(λ) > budget`
-// therefore flips at one unique pair of adjacent floats `(lo*, hi*)`,
-// and *any* bracket refinement that fully collapses lands on that pair:
-// the cold halving and the warm secant produce the same final bracket,
-// the same `demands(hi*)` base allocation, and the same leftover spread
-// — bit-identical results. The warm fast paths only trust themselves
-// when the collapsed price is at least [`WARM_MIN_PRICE`]; below it the
-// cold search may run out of iterations before collapsing (its bracket
-// starts at `[0, 1]` and the low edge stays 0 until a midpoint demand
-// exceeds the budget), so the warm path replays the cold search verbatim
-// to reproduce whatever it would have produced.
-
-/// Smallest collapsed price the warm fast paths trust. Below ~1e-18
-/// (≈ 2⁻⁶⁰) a cold bisection starting from `[0, 1]` may exhaust its 128
-/// iterations before its bracket collapses to adjacent floats, so the
-/// warm path cannot prove it matches cold output and falls back to an
-/// exact cold replay. At or above it, cold needs at most ~61 iterations
-/// to make the low edge positive plus ~53 to collapse — comfortably
-/// inside the budget — so a collapsed warm bracket is *the* cold answer.
-pub const WARM_MIN_PRICE: f64 = 1e-18;
-
-/// How a warm allocation was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmMode {
-    /// Full cold search replayed inside the arena buffers: no usable
-    /// bracket (first call, previous solve saturated or interrupted),
-    /// the previous bracket never collapsed, or the collapsed price sat
-    /// below [`WARM_MIN_PRICE`].
-    #[default]
-    Cold,
-    /// `budget ≥ Σ caps`: everyone saturates, no search at all.
-    Saturated,
-    /// The previous adjacent-float bracket still separates the demand
-    /// curve of the new instance: answered with two demand maps.
-    Revalidated,
-    /// Re-bracketed around the previous water level (delta-derived
-    /// margin, geometric growth) and collapsed by safeguarded secant.
-    Refined,
-}
-
-/// Telemetry for one warm allocation, kept in the cache and returned by
-/// [`allocate_warm_into`]. The benchmark's cold-vs-warm comparison
-/// reports `demand_maps` — the whole-slice evaluations that dominate
-/// the allocator's running time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WarmStats {
-    /// Which path answered the call.
-    pub mode: WarmMode,
-    /// Whole-slice demand maps evaluated (each is `O(n)`).
-    pub demand_maps: u32,
-    /// Bracket-refinement iterations (secant or halving steps; for a
-    /// cold replay, the bisection iterations).
-    pub iterations: u32,
-}
-
-/// Warm-start state for [`allocate_warm_into`]: the previous collapsed
-/// bracket plus every scratch buffer the search needs, so a steady-state
-/// call performs no heap allocation at all (buffers are cleared and
-/// refilled within their retained capacity).
-#[derive(Debug, Clone, Default)]
-pub struct WarmCache {
-    /// The bracket below came from a completed solve.
-    valid: bool,
-    /// That solve's bracket collapsed to adjacent floats (the unique
-    /// boundary pair) rather than timing out at [`MAX_ITERS`].
-    collapsed: bool,
-    lo: f64,
-    hi: f64,
-    caps: Vec<f64>,
-    d_lo: Vec<f64>,
-    d_hi: Vec<f64>,
-    d_probe: Vec<f64>,
-    /// The compiled demand kernel, recompiled per call (utilities drift
-    /// between epochs); its buffers retain capacity, so steady-state
-    /// recompiles allocate nothing.
-    table: DemandTable,
-    stats: WarmStats,
-}
-
-impl WarmCache {
-    /// An empty cache: the first allocation through it replays the cold
-    /// search (and records its bracket for the calls after).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop the bracket: the next call replays the cold search. Called
-    /// automatically when an interruptible warm allocation aborts
-    /// mid-search (the bracket may be half-updated).
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Telemetry of the most recent call through this cache.
-    pub fn last_stats(&self) -> WarmStats {
-        self.stats
-    }
-
-    /// The held bracket `(lo, hi)`, if a completed solve pinned one.
-    pub fn bracket(&self) -> Option<(f64, f64)> {
-        self.valid.then_some((self.lo, self.hi))
-    }
-}
-
-/// Sequential demand sweep through the compiled kernel into a reused
-/// buffer; returns the index-order sum — the same additions, in the same
-/// order, as every other strategy. The table's bit-identity contract
-/// makes each element equal `utils[i].inverse_derivative(lambda)`
-/// exactly.
-fn table_demands_into<U: Utility>(
-    table: &DemandTable,
-    utils: &[U],
-    lambda: f64,
-    out: &mut Vec<f64>,
-) -> f64 {
-    out.clear();
-    let mut sum = 0.0;
-    for i in 0..utils.len() {
-        let d = table.eval(utils, i, lambda);
-        out.push(d);
-        sum += d;
-    }
-    sum
-}
-
-/// The cold epilogue, verbatim: spread `leftover` over the threads whose
-/// demand is elastic across the final bracket (proportionally to their
-/// slack), then pour numerical crumbs into any remaining cap in index
-/// order. Same element-wise operations as [`allocate_impl`], so the
-/// results agree bit for bit.
-fn spread_leftover(amounts: &mut [f64], lo_amounts: &[f64], caps: &[f64], mut leftover: f64) {
-    let mut total_slack = 0.0;
-    for (&a, &b) in lo_amounts.iter().zip(amounts.iter()) {
-        total_slack += (a - b).max(0.0);
-    }
-    if total_slack > 0.0 {
-        let frac = (leftover / total_slack).min(1.0);
-        for (amt, &a) in amounts.iter_mut().zip(lo_amounts) {
-            let s = (a - *amt).max(0.0);
-            *amt += frac * s;
-        }
-        leftover -= frac * total_slack;
-    }
-    if leftover > 0.0 {
-        for (amt, &cap) in amounts.iter_mut().zip(caps) {
-            let room = cap - *amt;
-            if room > 0.0 {
-                let add = room.min(leftover);
-                *amt += add;
-                leftover -= add;
-                if leftover <= 0.0 {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// The cold search transcribed into the cache's buffers: identical
-/// bracket growth, identical halving, identical epilogue — only the
-/// allocations are gone. All-discrete instances first try the ladder
-/// flip ([`discrete_flip`]), which lands on the same collapsed bracket
-/// in `O(log k)` sweeps. Records the final bracket (and whether it
-/// collapsed) so the *next* call can go warm.
-fn cold_replay<U, E>(
-    utils: &[U],
-    budget: f64,
-    cache: &mut WarmCache,
-    amounts: &mut Vec<f64>,
-    check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<(), E>
-where
-    U: Utility,
-    E: From<Interrupted>,
-{
-    cache.stats.mode = WarmMode::Cold;
-    let ladder_bracket = if cache.table.all_discrete() {
-        discrete_flip(
-            &cache.table,
-            utils,
-            budget,
-            &Seq,
-            &mut cache.d_probe,
-            &mut cache.stats.demand_maps,
-            check,
-        )?
-    } else {
-        None
-    };
-
-    let (lo, hi, collapsed) = match ladder_bracket {
-        // The ladder bracket IS the generic search's collapsed pair.
-        Some((lo, hi)) => (lo, hi, true),
-        None => {
-            let mut lo = 0.0_f64;
-            let mut hi = 1.0_f64;
-            let mut grow = 0;
-            loop {
-                check()?;
-                let d = table_demands_into(&cache.table, utils, hi, &mut cache.d_probe);
-                cache.stats.demand_maps += 1;
-                if d > budget {
-                    lo = hi;
-                    hi *= 2.0;
-                    grow += 1;
-                    assert!(
-                        grow < 1100,
-                        "could not bracket the marginal price; utility derivatives do not decay"
-                    );
-                } else {
-                    break;
-                }
-            }
-
-            for _ in 0..MAX_ITERS {
-                let mid = 0.5 * (lo + hi);
-                if mid <= lo || mid >= hi {
-                    break;
-                }
-                check()?;
-                let d = table_demands_into(&cache.table, utils, mid, &mut cache.d_probe);
-                cache.stats.demand_maps += 1;
-                cache.stats.iterations += 1;
-                if d > budget {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            let mid = 0.5 * (lo + hi);
-            (lo, hi, mid <= lo || mid >= hi)
-        }
-    };
-
-    check()?;
-    let spent = table_demands_into(&cache.table, utils, hi, &mut cache.d_hi);
-    cache.stats.demand_maps += 1;
-    amounts.clear();
-    amounts.extend_from_slice(&cache.d_hi);
-    let leftover = budget - spent;
-    if leftover > 0.0 {
-        let _ = table_demands_into(&cache.table, utils, lo, &mut cache.d_lo);
-        cache.stats.demand_maps += 1;
-        spread_leftover(amounts, &cache.d_lo, &cache.caps, leftover);
-    }
-
-    cache.lo = lo;
-    cache.hi = hi;
-    cache.collapsed = collapsed;
-    cache.valid = true;
-    Ok(())
-}
-
-fn warm_impl<U, E>(
-    utils: &[U],
-    budget: f64,
-    cache: &mut WarmCache,
-    amounts: &mut Vec<f64>,
-    check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<WarmStats, E>
-where
-    U: Utility,
-    E: From<Interrupted>,
-{
-    assert!(budget >= 0.0 && budget.is_finite(), "budget must be finite and ≥ 0");
-    let _span = aa_obs::span!("bisection_warm");
-    if aa_obs::record_enabled() {
-        obs_counters().1.inc();
-    }
-    check()?;
-    cache.stats = WarmStats::default();
-    if utils.is_empty() {
-        amounts.clear();
-        cache.valid = false;
-        cache.stats.mode = WarmMode::Saturated;
-        return Ok(cache.stats);
-    }
-
-    // Fresh caps on every call: `cap()` is a cheap accessor for every
-    // utility in the workspace, and stale caps would poison the crumb
-    // pour. Same early-saturation branch as the cold path.
-    cache.caps.clear();
-    let mut total_cap = 0.0;
-    for f in utils {
-        let c = f.cap();
-        cache.caps.push(c);
-        total_cap += c;
-    }
-    if budget >= total_cap {
-        amounts.clear();
-        amounts.extend_from_slice(&cache.caps);
-        cache.valid = false; // a saturated solve pins no bracket
-        cache.stats.mode = WarmMode::Saturated;
-        return Ok(cache.stats);
-    }
-
-    // Recompile the demand table for this instance. The pools retain
-    // their capacity across calls, so steady-state recompiles are
-    // allocation-free scans over the utility slice.
-    cache.table.compile(utils);
-
-    if !(cache.valid && cache.collapsed && cache.lo >= WARM_MIN_PRICE) {
-        cold_replay(utils, budget, cache, amounts, check)?;
-        return Ok(cache.stats);
-    }
-
-    // Revalidate the previous adjacent-float bracket against the new
-    // instance: two demand maps decide everything.
-    let (prev_lo, prev_hi) = (cache.lo, cache.hi);
-    check()?;
-    let mut s_hi = table_demands_into(&cache.table, utils, prev_hi, &mut cache.d_hi);
-    let mut s_lo = table_demands_into(&cache.table, utils, prev_lo, &mut cache.d_lo);
-    cache.stats.demand_maps += 2;
-    let mut lo = prev_lo;
-    let mut hi = prev_hi;
-
-    if s_lo > budget && s_hi <= budget {
-        // Still the unique boundary pair: the search is already over.
-        cache.stats.mode = WarmMode::Revalidated;
-    } else {
-        cache.stats.mode = WarmMode::Refined;
-        if s_hi > budget {
-            // Demand grew: the price rises. Walk up from the previous
-            // water level with a step sized by how far over budget the
-            // old price landed (the delta-derived margin), doubling
-            // geometrically — the cold growth loop, started near λ*.
-            lo = prev_hi;
-            s_lo = s_hi;
-            std::mem::swap(&mut cache.d_lo, &mut cache.d_hi);
-            let rel = ((s_lo - budget) / budget.max(f64::MIN_POSITIVE)).clamp(1e-6, 1.0);
-            let mut step = prev_hi * rel;
-            let mut grow = 0;
-            loop {
-                let mut cand = lo + step;
-                while cand <= lo {
-                    step *= 2.0;
-                    cand = lo + step;
-                }
-                check()?;
-                let s = table_demands_into(&cache.table, utils, cand, &mut cache.d_probe);
-                cache.stats.demand_maps += 1;
-                if s > budget {
-                    lo = cand;
-                    s_lo = s;
-                    std::mem::swap(&mut cache.d_lo, &mut cache.d_probe);
-                    step *= 2.0;
-                    grow += 1;
-                    assert!(
-                        grow < 1100,
-                        "could not bracket the marginal price; utility derivatives do not decay"
-                    );
-                } else {
-                    hi = cand;
-                    s_hi = s;
-                    std::mem::swap(&mut cache.d_hi, &mut cache.d_probe);
-                    break;
-                }
-            }
-        } else {
-            // Demand shrank: the price falls. Walk down from the
-            // previous low edge with a delta-derived shrink factor,
-            // widening geometrically; if the walk dives under the
-            // trusted floor the cold search is the only provable answer.
-            hi = prev_lo;
-            s_hi = s_lo;
-            std::mem::swap(&mut cache.d_hi, &mut cache.d_lo);
-            let mut shrink =
-                ((budget - s_hi) / budget.max(f64::MIN_POSITIVE)).clamp(1e-6, 0.5);
-            loop {
-                let mut cand = hi * (1.0 - shrink);
-                while cand >= hi && cand > 0.0 {
-                    shrink *= 2.0;
-                    cand = hi * (1.0 - shrink);
-                }
-                if cand.is_nan() || cand < WARM_MIN_PRICE {
-                    cold_replay(utils, budget, cache, amounts, check)?;
-                    return Ok(cache.stats);
-                }
-                check()?;
-                let s = table_demands_into(&cache.table, utils, cand, &mut cache.d_probe);
-                cache.stats.demand_maps += 1;
-                if s > budget {
-                    lo = cand;
-                    s_lo = s;
-                    std::mem::swap(&mut cache.d_lo, &mut cache.d_probe);
-                    break;
-                }
-                hi = cand;
-                s_hi = s;
-                std::mem::swap(&mut cache.d_hi, &mut cache.d_probe);
-                shrink *= 2.0;
-            }
-        }
-
-        // Collapse the fresh bracket by Illinois-style false position —
-        // a damped secant (finite-difference Newton on the demand
-        // curve): when one endpoint stagnates its interpolation weight
-        // is halved, so the probe accelerates across demand kinks and
-        // jumps instead of inching at them. Every fourth probe is a
-        // plain midpoint as a worst-case safeguard. Invariant
-        // throughout: demand(lo) > budget ≥ demand(hi).
-        let mut iters: u32 = 0;
-        let mut g_lo = s_lo - budget; // > 0, may be damped below
-        let mut g_hi = s_hi - budget; // ≤ 0, may be damped below
-        let mut last_side: i8 = 0;
-        loop {
-            let mid = 0.5 * (lo + hi);
-            if mid <= lo || mid >= hi {
-                break; // collapsed to the unique adjacent pair
-            }
-            if iters >= MAX_ITERS {
-                // Stalled: reproduce the cold answer instead of guessing.
-                cold_replay(utils, budget, cache, amounts, check)?;
-                return Ok(cache.stats);
-            }
-            check()?;
-            let denom = g_lo - g_hi;
-            let mut probe = if iters % 4 == 3 || denom.is_nan() || denom <= 0.0 {
-                mid
-            } else {
-                (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-            };
-            if !(probe > lo && probe < hi) {
-                probe = mid;
-            }
-            let s = table_demands_into(&cache.table, utils, probe, &mut cache.d_probe);
-            cache.stats.demand_maps += 1;
-            iters += 1;
-            if s > budget {
-                lo = probe;
-                g_lo = s - budget;
-                std::mem::swap(&mut cache.d_lo, &mut cache.d_probe);
-                if last_side == -1 {
-                    g_hi *= 0.5; // hi stagnated twice: damp its weight
-                }
-                last_side = -1;
-            } else {
-                hi = probe;
-                s_hi = s;
-                g_hi = s - budget;
-                std::mem::swap(&mut cache.d_hi, &mut cache.d_probe);
-                if last_side == 1 {
-                    g_lo *= 0.5; // lo stagnated twice: damp its weight
-                }
-                last_side = 1;
-            }
-        }
-        cache.stats.iterations = iters;
-        if lo < WARM_MIN_PRICE {
-            // Cold may not have collapsed down here; replay it exactly.
-            cold_replay(utils, budget, cache, amounts, check)?;
-            return Ok(cache.stats);
-        }
-    }
-
-    // The cold epilogue on the same unique boundary pair: base
-    // allocation at the high price, leftover spread across the bracket.
-    check()?;
-    amounts.clear();
-    amounts.extend_from_slice(&cache.d_hi);
-    let leftover = budget - s_hi;
-    if leftover > 0.0 {
-        spread_leftover(amounts, &cache.d_lo, &cache.caps, leftover);
-    }
-    cache.lo = lo;
-    cache.hi = hi;
-    cache.collapsed = true;
-    cache.valid = true;
-    Ok(cache.stats)
-}
+// re-solve instances that drift slowly, so the marginal price barely
+// moves. A warm allocation starts the search at the previous answer's
+// price instead of 1.0: an unchanged instance collapses in two sweeps
+// (the old high price, then the float below it), a drifted one in a few
+// secant steps. Cold and warm collapse onto the same unique pair, so
+// the answers are the same bits.
 
 /// [`allocate`], warm-started from `cache` and writing the amounts into
 /// a caller-owned buffer: **bit-identical** to [`allocate`] on the same
 /// slice and budget (see the module notes on the unique boundary pair),
-/// near-constant demand maps when successive instances drift slowly, and
-/// zero heap allocation once the buffers have grown to the instance
-/// size. The utility sum is *not* computed — callers on the assignment
-/// hot path only consume the amounts; use [`allocate`] when the pooled
-/// utility value itself is needed.
+/// few demand maps when successive instances drift slowly, and zero heap
+/// allocation once the buffers have grown to the instance size. The
+/// utility sum is *not* computed — callers on the assignment hot path
+/// only consume the amounts; use [`allocate`] when the pooled utility
+/// value itself is needed.
 pub fn allocate_warm_into<U: Utility>(
     utils: &[U],
     budget: f64,
     cache: &mut WarmCache,
     amounts: &mut Vec<f64>,
 ) -> WarmStats {
-    match warm_impl::<U, Interrupted>(utils, budget, cache, amounts, &mut || Ok(())) {
-        Ok(stats) => {
-            if aa_obs::record_enabled() {
-                obs_counters().2.add(u64::from(stats.demand_maps));
-            }
-            stats
-        }
+    match allocate_warm_into_interruptible(utils, budget, cache, amounts, &mut || Ok(())) {
+        Ok(stats) => stats,
         Err(Interrupted) => unreachable!("infallible check cannot interrupt"),
     }
 }
 
 /// [`allocate_warm_into`] with a cooperative interruption check (same
-/// granularity as [`allocate_interruptible`]: up front, per bracket
-/// step, per refinement probe, before the spread). An abort invalidates
-/// the cache — the bracket may be half-updated — so the next call
-/// through it replays the cold search.
+/// granularity as [`allocate_interruptible`]). An abort leaves the cache
+/// cold, so the next call through it starts the search at `1.0`.
 pub fn allocate_warm_into_interruptible<U, E>(
     utils: &[U],
     budget: f64,
@@ -1135,28 +738,33 @@ where
     U: Utility,
     E: From<Interrupted>,
 {
-    match warm_impl(utils, budget, cache, amounts, check) {
-        Ok(stats) => {
-            if aa_obs::record_enabled() {
-                obs_counters().2.add(u64::from(stats.demand_maps));
-            }
-            Ok(stats)
-        }
-        Err(e) => {
-            cache.valid = false;
-            Err(e)
-        }
+    let _span = aa_obs::span!("bisection_warm");
+    if aa_obs::record_enabled() {
+        obs_counters().1.inc();
     }
+    // Taken, not read: an aborted search leaves the cache cold.
+    let start = cache.price.take().unwrap_or(1.0);
+    cache.price = allocate_into(
+        utils,
+        budget,
+        start,
+        true,
+        Fanout::Seq,
+        cache,
+        amounts,
+        check,
+    )?;
+    Ok(cache.stats)
 }
 
 /// [`allocate`], but writing into caller-owned buffers: the amounts land
 /// in `amounts`, the search scratch lives in `cache`, and only the
 /// utility sum is returned. **Bit-identical** to [`allocate`] — the cache
-/// is invalidated first, so this always runs the exact cold search — with
-/// no per-call heap allocation once the buffers have grown to the working
-/// size. This is the arena building block for repeated independent solves
-/// (e.g. the churn repair's per-server re-splits), where a warm bracket
-/// would never revalidate but the allocation churn still matters.
+/// is invalidated first, so the search starts cold — with no per-call
+/// heap allocation once the buffers have grown to the working size. This
+/// is the arena building block for repeated independent solves (e.g. the
+/// churn repair's per-server re-splits), where a warm price would rarely
+/// help but the allocation churn still matters.
 pub fn allocate_utility_into<U: Utility>(
     utils: &[U],
     budget: f64,
@@ -1166,8 +774,12 @@ pub fn allocate_utility_into<U: Utility>(
     cache.invalidate();
     allocate_warm_into(utils, budget, cache, amounts);
     // Index-order sum of f_i(x_i): the same additions, in the same order,
-    // as the sequential strategy behind `allocate`.
-    utils.iter().zip(amounts.iter()).map(|(f, &x)| f.value(x)).sum()
+    // as the sequential fanout behind `allocate`.
+    utils
+        .iter()
+        .zip(amounts.iter())
+        .map(|(f, &x)| f.value(x))
+        .sum()
 }
 
 #[cfg(test)]
@@ -1356,8 +968,8 @@ mod tests {
             }
         }
         let utils: Vec<Power> = (0..16).map(|i| Power::new(1.0 + i as f64, 0.5, 10.0)).collect();
-        // Exhaust "fuel" after a handful of checks: the bisection runs
-        // ~130 iterations, so this fires mid-search.
+        // Exhaust "fuel" after a handful of checks: the search runs a
+        // few dozen sweeps, so this fires mid-search.
         let mut fuel = 5_u32;
         let result = allocate_interruptible(&utils, 40.0, &mut || {
             if fuel == 0 {
@@ -1512,14 +1124,14 @@ mod warm_tests {
     }
 
     #[test]
-    fn first_call_replays_cold_bit_identically() {
+    fn first_call_is_cold_and_bit_identical() {
         let utils = pool(40, 0.0);
         for budget in [0.0, 1.0, 37.5, 400.0, 1999.0] {
             let mut cache = WarmCache::new();
             let mut amounts = Vec::new();
-            let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
-            assert_eq!(stats.mode, WarmMode::Cold, "budget {budget}");
+            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("budget {budget}"));
+            assert!(cache.price().is_some(), "budget {budget}: no price pinned");
         }
     }
 
@@ -1530,31 +1142,29 @@ mod warm_tests {
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
         let stats = allocate_warm_into(&utils, total_cap + 1.0, &mut cache, &mut amounts);
-        assert_eq!(stats.mode, WarmMode::Saturated);
         assert_eq!(stats.demand_maps, 0);
         assert_bits_eq(&allocate(&utils, total_cap + 1.0), &amounts, "saturated");
-        assert!(cache.bracket().is_none(), "saturation must not pin a bracket");
+        assert!(cache.price().is_none(), "saturation must not pin a price");
     }
 
     #[test]
-    fn repeat_solve_revalidates_with_two_maps() {
+    fn repeat_solve_collapses_in_two_maps() {
+        // The previous high price fits, the float below it does not.
         let utils = pool(64, 0.0);
         let budget = 900.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
         allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
         let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
-        assert_eq!(stats.mode, WarmMode::Revalidated);
         assert_eq!(stats.demand_maps, 2);
-        assert_eq!(stats.iterations, 0);
-        assert_bits_eq(&allocate(&utils, budget), &amounts, "revalidated");
+        assert_bits_eq(&allocate(&utils, budget), &amounts, "repeat");
     }
 
     #[test]
     fn drifting_utilities_refine_cheaply_and_match_cold() {
         // Kink-heavy pool (1/3 CappedLinear): the demand curve is a
         // staircase near the boundary, the adversarial case for the
-        // secant. Warm must still beat cold per epoch and by ≥ 2×
+        // secant. Warm must still beat cold per epoch and by ≥ 1.5×
         // cumulatively — and stay bit-identical throughout.
         let budget = 700.0;
         let mut cache = WarmCache::new();
@@ -1570,7 +1180,6 @@ mod warm_tests {
             let utils = pool(48, 0.003 * epoch as f64);
             let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("epoch {epoch}"));
-            assert_ne!(stats.mode, WarmMode::Cold, "epoch {epoch}: fell back to cold");
             assert!(
                 stats.demand_maps < cold_maps,
                 "epoch {epoch}: warm used {} maps vs {} cold",
@@ -1580,19 +1189,19 @@ mod warm_tests {
             warm_total += stats.demand_maps;
         }
         assert!(
-            warm_total * 2 < cold_maps * epochs,
+            warm_total * 3 < cold_maps * epochs * 2,
             "warm total {warm_total} vs cold {cold_maps}/epoch over {epochs} epochs"
         );
     }
 
     #[test]
     fn smooth_drift_is_near_constant_cost() {
-        // Strictly concave smooth utilities: the damped secant closes in
-        // on the boundary in a handful of probes; the residual cost is
-        // bisecting the window where the demand *sum* is flat to fp
-        // (per-thread drifts are sub-ulp of the sum), which is bounded
-        // by the sum's ulp structure, not by the cold bracket — the
-        // iteration count stays flat as the instance drifts.
+        // Strictly concave smooth utilities: the secant closes in on the
+        // boundary in a handful of probes; the residual cost is bisecting
+        // the window where the demand *sum* is flat to fp (per-thread
+        // drifts are sub-ulp of the sum), which is bounded by the sum's
+        // ulp structure — the sweep count stays flat as the instance
+        // drifts, and below the cold search's.
         let smooth = |shift: f64| -> Vec<Box<dyn Utility>> {
             (0..48)
                 .map(|i| {
@@ -1609,13 +1218,12 @@ mod warm_tests {
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
         let cold_maps = allocate_warm_into(&smooth(0.0), budget, &mut cache, &mut amounts).demand_maps;
-        assert!(cold_maps > 50, "cold search should be expensive ({cold_maps} maps)");
         for epoch in 1..12 {
             let utils = smooth(0.003 * epoch as f64);
             let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("epoch {epoch}"));
             assert!(
-                stats.demand_maps <= 36 && stats.demand_maps * 3 <= cold_maps * 2,
+                stats.demand_maps <= 12 && stats.demand_maps < cold_maps,
                 "epoch {epoch}: {} maps vs {cold_maps} cold is not near-constant",
                 stats.demand_maps
             );
@@ -1629,16 +1237,16 @@ mod warm_tests {
         let mut amounts = Vec::new();
         allocate_warm_into(&utils, 500.0, &mut cache, &mut amounts);
         for budget in [520.0, 480.0, 600.0, 300.0, 550.0] {
-            let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("budget {budget}"));
-            assert_ne!(stats.mode, WarmMode::Cold, "budget {budget}");
         }
     }
 
     #[test]
     fn thread_churn_keeps_identity() {
-        // Add/remove threads between solves: the bracket survives because
-        // revalidation maps the *new* slice, never cached per-thread data.
+        // Add/remove threads between solves: the carried price stays a
+        // valid start because every probe sweeps the *new* slice, never
+        // cached per-thread data.
         let budget = 420.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
@@ -1657,7 +1265,7 @@ mod warm_tests {
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
         allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
-        assert!(cache.bracket().is_some());
+        assert!(cache.price().is_some());
 
         let mut fuel = 1_u32;
         let result = allocate_warm_into_interruptible(&utils, budget, &mut cache, &mut amounts, &mut || {
@@ -1669,11 +1277,10 @@ mod warm_tests {
             }
         });
         assert_eq!(result, Err(Interrupted));
-        assert!(cache.bracket().is_none(), "abort must invalidate the bracket");
+        assert!(cache.price().is_none(), "abort must leave the cache cold");
 
-        // Recovery: a quiet call replays cold and is still exact.
-        let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
-        assert_eq!(stats.mode, WarmMode::Cold);
+        // Recovery: a quiet call starts cold and is still exact.
+        allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
         assert_bits_eq(&allocate(&utils, budget), &amounts, "recovery");
     }
 

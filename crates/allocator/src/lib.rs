@@ -10,10 +10,11 @@
 //! that subroutine — and the independent reference implementations used to
 //! validate it — from scratch:
 //!
-//! * [`bisection`] — the production allocator: binary search on the common
-//!   marginal value λ, querying each utility's
+//! * [`bisection`] — the production allocator: a bracketed root search
+//!   on the common marginal value λ, querying each utility's
 //!   [`inverse_derivative`](aa_utility::Utility::inverse_derivative)
-//!   (a thread's "demand at price λ"). Matches Galil's asymptotics.
+//!   (a thread's "demand at price λ"); the same search clears the price
+//!   backend's markets.
 //! * [`greedy`] — Fox's marginal-gain greedy over discrete resource units
 //!   (`O(k log n)` for `k` units), optimal for concave utilities at the
 //!   chosen granularity.
@@ -39,7 +40,7 @@ pub mod tuning;
 use aa_utility::Utility;
 
 pub use bisection::{
-    discrete_ladder_bracket, Interrupted, WarmCache, WarmMode, WarmStats,
+    discrete_ladder_bracket, Interrupted, WarmCache, WarmStats,
 };
 pub use tuning::{par_threshold, DEFAULT_PAR_THRESHOLD};
 

@@ -1,10 +1,10 @@
 //! Regression tests for the all-discrete integer ladder fast path.
 //!
-//! When every utility compiles to a unit-scale staircase, the bisection
-//! allocator replaces ~130 demand sweeps with an `O(log k)` binary
-//! search over the merged marginal-gain ladder. The contract under test:
-//! the ladder path is **bit-identical** to the generic bracket-growth +
-//! halving search (`allocate_generic`) on every instance — engaged or
+//! When every utility compiles to a unit-scale staircase, the allocator's
+//! root-finder probes the merged marginal-gain ladder instead of taking
+//! secant steps: an `O(log k)` binary search over its knots. The contract
+//! under test: the ladder path is **bit-identical** to the generic
+//! secant search (`allocate_generic`) on every instance — engaged or
 //! not — across the sequential, parallel (1/2/8 threads), and
 //! warm-cache entry points, and its tie-breaking between threads at the
 //! marginal price is pinned to proportional spread plus an index-order

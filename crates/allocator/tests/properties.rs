@@ -1,14 +1,20 @@
 //! Property-based cross-validation of the single-pool allocators.
 //!
-//! The λ-bisection allocator (production) must agree with:
+//! The λ root-finder allocator (production) must agree with:
 //! * the exact segment greedy on random piecewise-linear instances,
 //! * the discrete DP / unit greedy on random mixed smooth instances
 //!   (up to discretization error),
+//! * the former plain halving search, bit for bit,
 //!
 //! and always produce feasible, budget-exhausting allocations.
 
-use aa_utility::{LogUtility, PiecewiseLinear, Power, Utility};
-use aa_allocator::{bisection, exact_dp, greedy, segment};
+use std::sync::Arc;
+
+use aa_allocator::bisection::{allocate, allocate_generic, allocate_par, allocate_warm_into};
+use aa_allocator::{bisection, exact_dp, greedy, segment, WarmCache};
+use aa_utility::{
+    CappedLinear, DemandTable, DynUtility, LogUtility, Pchip, PiecewiseLinear, Power, Utility,
+};
 use proptest::prelude::*;
 
 /// Random concave piecewise-linear utility from (width, slope) pairs with
@@ -111,5 +117,158 @@ proptest! {
             b.utility >= g.utility - 1e-6 * g.utility.max(1.0),
             "continuous {} below discrete {}", b.utility, g.utility
         );
+    }
+}
+
+// ---- the root-finder against plain halving ----
+//
+// Before the allocator's one root-finder, a cold allocation grew the
+// bracket `[0, 1]` by doubling until demand fit the budget, then halved
+// it up to 128 times. That search is kept below, verbatim down to the
+// leftover spread, as a test-only reference: slow (~63 sweeps) but
+// obviously correct. Demand is exactly nonincreasing in λ, so both
+// searches collapse onto the same adjacent-float pair and must return
+// the same bits — on PCHIP (the paper's §VII shape), power, log and
+// staircase utilities, sequentially and through the pool.
+
+/// The halving search and its epilogue: base demands at the bracket's
+/// high price, the leftover spread proportionally over the slack between
+/// the two ends, then crumbs poured in index order.
+fn halving_reference<U: Utility>(utils: &[U], budget: f64) -> Vec<f64> {
+    let caps: Vec<f64> = utils.iter().map(|f| f.cap()).collect();
+    if budget >= caps.iter().sum::<f64>() {
+        return caps;
+    }
+    let mut table = DemandTable::new();
+    table.compile(utils);
+    let demands = |lambda: f64| {
+        let mut out = vec![0.0; utils.len()];
+        table.batch_inverse_derivative(utils, lambda, &mut out);
+        let total: f64 = out.iter().sum();
+        (out, total)
+    };
+    let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+    while demands(hi).1 > budget {
+        lo = hi;
+        hi *= 2.0;
+    }
+    for _ in 0..128 {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
+        if demands(mid).1 > budget {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let (mut amounts, spent) = demands(hi);
+    let mut leftover = budget - spent;
+    if leftover > 0.0 {
+        let (lo_amounts, _) = demands(lo);
+        let mut slack = 0.0;
+        for (&a, &b) in lo_amounts.iter().zip(&amounts) {
+            slack += (a - b).max(0.0);
+        }
+        if slack > 0.0 {
+            let frac = (leftover / slack).min(1.0);
+            for (x, &a) in amounts.iter_mut().zip(&lo_amounts) {
+                *x += frac * (a - *x).max(0.0);
+            }
+            leftover -= frac * slack;
+        }
+        for (x, &cap) in amounts.iter_mut().zip(&caps) {
+            if leftover <= 0.0 {
+                break;
+            }
+            let add = (cap - *x).max(0.0).min(leftover);
+            *x += add;
+            leftover -= add;
+        }
+    }
+    amounts
+}
+
+/// The paper's §VII PCHIP shape: `(0,0)`, `(C/2,v)`, `(C,v+w)`, `w ≤ v`.
+fn paper_pchip(cap: f64, v: f64, w_frac: f64) -> DynUtility {
+    Arc::new(Pchip::new(&[(0.0, 0.0), (cap / 2.0, v), (cap, v + w_frac * v)]).unwrap())
+}
+
+fn any_utility() -> impl Strategy<Value = DynUtility> {
+    prop_oneof![
+        (10.0..1000.0f64, 0.1..100.0f64, 0.0..1.0f64)
+            .prop_map(|(cap, v, w)| paper_pchip(cap, v, w)),
+        (0.1..10.0f64, 0.1..0.95f64, 1.0..100.0f64)
+            .prop_map(|(s, b, cap)| Arc::new(Power::new(s, b, cap)) as DynUtility),
+        (0.1..10.0f64, 0.05..4.0f64, 1.0..100.0f64)
+            .prop_map(|(s, r, cap)| Arc::new(LogUtility::new(s, r, cap)) as DynUtility),
+        (0.1..10.0f64, 0.5..20.0f64, 0.0..10.0f64).prop_map(|(s, knee, extra)| {
+            Arc::new(CappedLinear::new(s, knee, knee + extra)) as DynUtility
+        }),
+        prop::collection::vec((0.5..5.0f64, 0.01..4.0f64), 1..5)
+            .prop_map(|raw| Arc::new(pwl_from(&raw)) as DynUtility),
+    ]
+}
+
+fn assert_bits(got: &[f64], want: &[f64], tag: &str) -> Result<(), String> {
+    prop_assert_eq!(got.len(), want.len(), "{}: length", tag);
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{}: amounts[{}] {} vs {}",
+            tag,
+            i,
+            g,
+            w
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every allocator entry point returns the halving search's bits.
+    #[test]
+    fn root_finder_matches_halving_bit_for_bit(
+        utils in prop::collection::vec(any_utility(), 1..24),
+        budget_frac in 0.02..0.95f64,
+    ) {
+        let total_cap: f64 = utils.iter().map(|u| u.cap()).sum();
+        let budget = budget_frac * total_cap;
+        let reference = halving_reference(&utils, budget);
+        assert_bits(&allocate(&utils, budget).amounts, &reference, "allocate")?;
+        assert_bits(&allocate_generic(&utils, budget).amounts, &reference, "generic")?;
+        let mut cache = WarmCache::new();
+        let mut warm = Vec::new();
+        allocate_warm_into(&utils, budget, &mut cache, &mut warm);
+        assert_bits(&warm, &reference, "warm")?;
+    }
+}
+
+/// Above the pool threshold the parallel sweeps run; a PCHIP-heavy mix
+/// must still match the halving search at 1, 2 and 8 pool threads.
+#[test]
+fn parallel_root_finder_matches_halving_on_paper_pchip() {
+    let n = aa_allocator::par_threshold() + 123;
+    let utils: Vec<DynUtility> = (0..n)
+        .map(|i| {
+            let v = 1.0 + (i % 97) as f64 * 0.37;
+            match i % 4 {
+                0 | 1 => paper_pchip(1000.0, v, (i % 11) as f64 / 11.0),
+                2 => Arc::new(Power::new(v, 0.5, 1000.0)),
+                _ => Arc::new(LogUtility::new(v, 0.01, 1000.0)),
+            }
+        })
+        .collect();
+    let budget = 0.3 * 1000.0 * n as f64;
+    let reference = halving_reference(&utils, budget);
+    for threads in [1, 2, 8] {
+        let got = rayon::with_threads(threads, || allocate_par(&utils, budget));
+        for (i, (g, w)) in got.amounts.iter().zip(&reference).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{threads} threads: amounts[{i}]");
+        }
     }
 }

@@ -1008,14 +1008,13 @@ fn scale_entry(
     reps: usize,
     entry_seed: u64,
 ) -> Result<ScaleEntry, CliError> {
-    use aa_core::price::{self, PriceOpts, PriceWarmState};
+    use aa_core::price::{self, PriceWarmState};
     use aa_utility::DemandTable;
 
     let mut rng = StdRng::seed_from_u64(entry_seed);
     let problem = spec.generate(&mut rng).map_err(CliError::Problem)?;
     let n = problem.len();
     let reps = if n >= 500_000 { 1 } else { reps.max(1) };
-    let price_opts = PriceOpts::default();
 
     let (algo2_millis, a2) = time_best(reps, || algo2::solve_par(&problem));
     let mut price_millis = f64::INFINITY;
@@ -1023,8 +1022,8 @@ fn scale_entry(
     let mut stats = aa_core::PriceStats::default();
     for _ in 0..reps {
         let t0 = std::time::Instant::now();
-        let (a, s) = price::solve_with_opts(&problem, &price_opts, None, None)
-            .expect("unbudgeted price solve cannot fail");
+        let (a, s) =
+            price::solve_with(&problem, None, None).expect("unbudgeted price solve cannot fail");
         price_millis = price_millis.min(t0.elapsed().as_secs_f64() * 1e3);
         price_a = Some(a);
         stats = s;

@@ -304,8 +304,8 @@ fn lightest(loads: &[f64]) -> usize {
 
 /// Reusable scratch for [`repair_after_with`]: the capped views, the
 /// per-group clone buffer fed to the water-filling allocator, the trial
-/// index buffer, the allocation output buffer, and a warm bisection
-/// cache ([`bisection::WarmCache`]).
+/// index buffer, the allocation output buffer, and the allocator's
+/// search scratch ([`bisection::WarmCache`]).
 ///
 /// A controller that repairs every epoch keeps one arena alive so the
 /// steady-state repair path reuses these buffers instead of
@@ -313,8 +313,7 @@ fn lightest(loads: &[f64]) -> usize {
 /// `O(m)` optimal splits per evacuee, so the per-split `Vec` churn
 /// dominated its allocator traffic. Results are **bit-identical** to
 /// the arena-free path: the split evaluation goes through
-/// [`bisection::allocate_utility_into`], which replays the exact cold
-/// bisection.
+/// [`bisection::allocate_utility_into`], which runs the cold search.
 #[derive(Debug, Clone, Default)]
 pub struct RepairArena {
     views: Vec<CappedView>,
@@ -454,8 +453,8 @@ fn split_utility(views: &[CappedView], group: &[usize], capacity: f64) -> f64 {
 
 /// [`split_utility`] into caller-owned buffers: clones the group's
 /// views into `scratch` (an `Arc` clone plus an `f64` each — no heap
-/// traffic once `scratch` has capacity) and runs the exact cold
-/// bisection replay through [`bisection::allocate_utility_into`].
+/// traffic once `scratch` has capacity) and runs the cold search
+/// through [`bisection::allocate_utility_into`].
 /// Bit-identical to the reference: same element order, same budget,
 /// same index-order utility summation.
 fn split_utility_into(

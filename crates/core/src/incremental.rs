@@ -2,18 +2,17 @@
 //! allocation-free on the steady-state path.
 //!
 //! The cold pipeline ([`crate::algo2::solve`]) recomputes everything from
-//! nothing on every call: the super-optimal bisection re-brackets the
-//! water level from `[0, ∞)`, every thread is re-linearized, both sorts
+//! nothing on every call: the super-optimal price search starts from
+//! `λ = 1`, every thread is re-linearized, both sorts
 //! rebuild their permutations, and a fresh heap plus four result vectors
 //! are heap-allocated. Online callers (`aa serve`, the epoch controller,
 //! churn repair) solve *almost the same instance* over and over; this
 //! module makes successive solves pay only for what changed:
 //!
-//! * **Warm bisection** — the water-level bracket from the previous solve
-//!   is revalidated with two demand maps and re-refined from the previous
-//!   level ± a delta-derived margin ([`aa_allocator::bisection`]'s
-//!   [`WarmCache`]); the iteration count drops from `O(log mC)` to
-//!   near-constant under slow drift.
+//! * **Warm price search** — the super-optimal search starts at the
+//!   previous solve's price ([`aa_allocator::bisection`]'s
+//!   [`WarmCache`]): an unchanged water level is confirmed with two
+//!   demand maps, and slow drift costs a few secant steps.
 //! * **Delta linearization** — thread `i` is re-linearized only when its
 //!   utility object changed (by [`Arc::ptr_eq`] identity), its `ĉ_i`
 //!   moved (bitwise), or the global capacity `C` changed; an unchanged
@@ -37,18 +36,20 @@
 //!   (every per-thread quantity is stale);
 //! * more than half the threads dirty → **full re-sort** (one
 //!   `O(n log n)` comparison sort beats retain + sort + merge once the
-//!   merged run no longer dominates); the warm bisection bracket is kept
-//!   — it is instance-keyed only through the demand maps and survives
-//!   arbitrary thread churn;
+//!   merged run no longer dominates); the warm price is kept — it is
+//!   instance-keyed only through the demand maps and survives arbitrary
+//!   thread churn;
 //! * otherwise → **merge repair**.
 //!
 //! # Bit-identity contract
 //!
 //! Every mode returns an assignment **bit-identical** to
-//! [`crate::algo2::solve`] on the same problem. The warm bisection proves
-//! its bracket by re-evaluating the demand sum (never trusting cached
-//! per-thread data), the delta linearizer reuses `g_i` only when its
-//! inputs are identical, and the repaired permutations are equal — not
+//! [`crate::algo2::solve`] on the same problem. The warm price search
+//! collapses onto the same unique adjacent-float pair as the cold one
+//! (it only starts elsewhere, and every probe re-evaluates the demand
+//! sum, never trusting cached per-thread data), the delta linearizer
+//! reuses `g_i` only when its inputs are identical, and the repaired
+//! permutations are equal — not
 //! just equivalent — to the cold sorts because both orders are the same
 //! strict total order (key descending, index ascending; the tail by
 //! density, then key, then index). The differential proptests in
@@ -87,9 +88,9 @@ pub enum SolveMode {
 pub struct IncrementalStats {
     /// Path taken.
     pub mode: SolveMode,
-    /// The warm bisection's own statistics (demand maps, refinement
-    /// iterations, bracket mode). Zeroed on the [`SolveMode::Identical`]
-    /// fast path, which never reaches the bisection.
+    /// The warm price search's own statistics (demand maps). Zeroed on
+    /// the [`SolveMode::Identical`] fast path, which never reaches the
+    /// search.
     pub warm: WarmStats,
     /// Threads whose `g_i` was recomputed this solve.
     pub relinearized: usize,
@@ -319,18 +320,15 @@ fn solve_impl(
         return Ok(());
     }
 
-    // Stage 1: super-optimal ĉ through the warm bracket.
+    // Stage 1: super-optimal ĉ through the warm price search.
     let a = &mut state.arena;
-    let warm = match budget {
-        None => superopt::super_optimal_warm_into(problem, &mut a.cache, &mut a.views, &mut a.amounts),
-        Some(b) => superopt::super_optimal_warm_budgeted_into(
-            problem,
-            b,
-            &mut a.cache,
-            &mut a.views,
-            &mut a.amounts,
-        )?,
-    };
+    let warm = superopt::super_optimal_warm_into(
+        problem,
+        budget,
+        &mut a.cache,
+        &mut a.views,
+        &mut a.amounts,
+    )?;
 
     // Stage 2: delta linearization. `structural` means every per-thread
     // quantity is stale (no baseline, or the capacity changed — C is an

@@ -69,7 +69,7 @@ pub use incremental::{IncrementalStats, SolveMode, SolverArena, WarmState};
 pub use fleet::{
     Backoff, FleetRouter, FrameError, PendingEntry, PendingMap, RouteDecision,
 };
-pub use price::{PriceOpts, PriceStats, PriceWarmState};
+pub use price::{PriceStats, PriceWarmState};
 pub use problem::{Assignment, AssignmentError, Problem, ProblemBuilder, ProblemError};
 pub use ring::Ring;
 pub use shard::{

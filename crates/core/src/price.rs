@@ -1,37 +1,35 @@
-//! Price-discovery solver backend (Agrawal–Boyd style tâtonnement).
+//! Price-discovery solver backend (Agrawal–Boyd style).
 //!
-//! Algo2's λ-bisection is sequential in λ and re-walks the full
-//! superopt → linearize → assign pipeline every solve; it tops out
-//! around the paper's 16×8192 matrix. This module trades the bisection
-//! for **price discovery**: iterate a price, let every thread respond
-//! with its demand-at-price, and damp the price toward market clearing.
-//! Each iteration is one cache-friendly, pool-parallel sweep over all
-//! `n` threads through the batched SoA demand kernel
+//! Algo2 re-walks the full superopt → linearize → assign pipeline every
+//! solve; it tops out around the paper's 16×8192 matrix. This module
+//! solves by **price discovery** instead: post a price, let every thread
+//! respond with its demand-at-price, and move the price toward market
+//! clearing. Each probe is one cache-friendly, pool-parallel sweep over
+//! all `n` threads through the batched SoA demand kernel
 //! ([`aa_utility::demand::DemandTable`]) — the parallelism lands on the
-//! *iteration*, not the outer loop, which is what opens the `n = 10⁶`
+//! *sweep*, not the outer loop, which is what opens the `n = 10⁶`
 //! regime.
 //!
 //! # Protocol (three phases)
 //!
 //! 1. **Global discovery** — clear the pooled market (supply `m·C`,
-//!    demand `D(λ) = Σ xᵢ(λ)` over capped views) with a damped
-//!    multiplicative update `λ ← λ·(D(λ)/mC)^κ` inside a maintained
-//!    bracket; bisection-midpoint fallback whenever the proposal leaves
-//!    the bracket, so convergence is never worse than plain bisection.
-//!    Accepts the cheapest price with `mC·(1−tol) ≤ D(λ) ≤ mC`.
+//!    demand `D(λ) = Σ xᵢ(λ)` over capped views) with the allocator's
+//!    root-finder ([`aa_allocator::bisection::find_root`]), accepting
+//!    the first price whose demand lies strictly within
+//!    [`PRICE_TOL`]`·mC` of supply.
 //! 2. **Placement** — threads are placed on the server with the most
 //!    remaining capacity (deterministic argmax), clipping `cᵢ` to what
 //!    remains; feasibility is exact by construction.
 //! 3. **Per-server refinement** — each server independently re-clears
-//!    its own market over its residents (supply `C`, same damped loop,
-//!    warm-started from the global price), then spreads any leftover.
-//!    The refined allocation is kept only when it does not lose utility
+//!    its own market over its residents (supply `C`, same finder,
+//!    started at the global price), then spreads any leftover. The
+//!    refined allocation is kept only when it does not lose utility
 //!    versus the clipped placement, so phase 3 can only help. Servers
 //!    refine in parallel.
 //!
 //! Prices are the natural warm state: a [`PriceWarmState`] carries the
 //! accepted global price and the per-server prices, so a drifted
-//! re-solve starts its brackets where the last solve converged and
+//! re-solve starts its searches where the last solve converged and
 //! typically accepts within a couple of sweeps.
 //!
 //! # Determinism
@@ -43,21 +41,23 @@
 //!
 //! # Tolerance
 //!
-//! The documented convergence tolerance is [`PriceOpts::tol`] (default
-//! `1e-3`), applied **two-sided**: a price is accepted when demand is
-//! within `tol·supply` of supply on *either* side. Undershoot leaves at
-//! most `tol·mC` of the pooled supply unsold (recovered by leftover
-//! spreading); overshoot is clipped by placement and proportionally
-//! rescaled during per-server refinement, so feasibility is always
-//! exact. The resulting total utility lands within a few percent of
-//! Algo2's on the paper distributions (the differential suite pins 5%
-//! relative); the gap versus the superopt *bound* is recorded
+//! [`PRICE_TOL`] (`1e-3`) applies **two-sided**: a price is accepted when
+//! demand is within `PRICE_TOL·supply` of supply on *either* side.
+//! Undershoot leaves at most `PRICE_TOL·mC` of the pooled supply unsold
+//! (recovered by leftover spreading); overshoot is clipped by placement
+//! and proportionally rescaled during per-server refinement, so
+//! feasibility is always exact. A market whose clearing price sits in a
+//! demand jump no price can bring within tolerance takes the collapsed
+//! bracket's high price. The resulting total utility lands within a few
+//! percent of Algo2's on the paper distributions (the differential suite
+//! pins 5% relative); the gap versus the superopt *bound* is recorded
 //! per-instance by `aa bench --mode scale`.
 
 use rayon::prelude::*;
 
 use std::sync::Arc;
 
+use aa_allocator::bisection::{find_root, Root, Search};
 use aa_utility::demand::DemandTable;
 use aa_utility::{DynUtility, Utility};
 
@@ -65,50 +65,27 @@ use crate::budget::Budget;
 use crate::problem::{Assignment, CappedView, Problem};
 use crate::solver::SolveError;
 
+pub use aa_allocator::bisection::par_sweep;
 pub use aa_allocator::tuning::par_threshold;
 
-/// Hard ceiling for price escalation when no finite price clears the
-/// market (e.g. staircase floors whose demand never drops below
-/// supply). Past this the loop gives up and lets placement clip.
-const LAMBDA_MAX: f64 = 1e18;
-
-/// Tuning knobs for the price-discovery loop.
-#[derive(Debug, Clone, Copy)]
-pub struct PriceOpts {
-    /// Relative clearing tolerance: accept price λ once
-    /// `|D(λ) − supply| ≤ tol·supply` (two-sided; overshoot is clipped
-    /// at placement and rescaled during refinement).
-    pub tol: f64,
-    /// Iteration cap per market (global and per-server alike); the loop
-    /// then settles for the best feasible price seen.
-    pub max_iters: u32,
-    /// Damping exponent κ of the multiplicative update
-    /// `λ ← λ·(D/supply)^κ`. `0 < κ ≤ 1`; smaller is more cautious.
-    pub damping: f64,
-}
-
-impl Default for PriceOpts {
-    fn default() -> Self {
-        PriceOpts {
-            tol: 1e-3,
-            max_iters: 64,
-            damping: 0.5,
-        }
-    }
-}
+/// Relative clearing tolerance: a market clears at the first probe with
+/// `|D(λ) − supply| < PRICE_TOL·supply` (two-sided; overshoot is clipped
+/// at placement and rescaled during refinement).
+pub const PRICE_TOL: f64 = 1e-3;
 
 /// Observability snapshot of one price-discovery solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PriceStats {
-    /// Global price-update iterations (phase 1 demand evaluations).
+    /// Global price probes (phase 1 demand sweeps).
     pub iterations: u64,
-    /// Per-server refinement iterations summed over servers (phase 3).
+    /// Per-server refinement probes summed over servers (phase 3).
     pub refine_iterations: u64,
     /// Total demand sweeps (global full-width sweeps plus per-server
     /// resident sweeps).
     pub sweeps: u64,
-    /// Whether the global market cleared within tolerance before the
-    /// iteration cap.
+    /// Whether a finite price cleared the global market: demand within
+    /// tolerance, or a collapsed bracket around a demand jump. `false`
+    /// only when demand exceeds supply at every price (placement clips).
     pub converged: bool,
     /// Whether the solve started from a carried [`PriceWarmState`].
     pub warm: bool,
@@ -122,14 +99,7 @@ pub struct PriceStats {
 pub struct PriceWarmState {
     valid: bool,
     lambda: f64,
-    /// Demand slope dD/dλ observed at the global clearing point (NaN =
-    /// unknown): lets the next warm solve take a Newton first step
-    /// instead of waiting two evaluations for the secant.
-    slope: f64,
     server_prices: Vec<f64>,
-    /// Per-server clearing slopes, parallel to `server_prices` (NaN =
-    /// unknown).
-    server_slopes: Vec<f64>,
     prev_servers: usize,
     prev_capacity: f64,
     /// Compiled demand table carried between solves, so a drifted
@@ -155,7 +125,6 @@ impl PriceWarmState {
     pub fn invalidate(&mut self) {
         self.valid = false;
         self.server_prices.clear();
-        self.server_slopes.clear();
         self.table = DemandTable::new();
         self.cached.clear();
     }
@@ -204,143 +173,29 @@ fn record_stats(stats: &PriceStats) {
     }
 }
 
-/// One full-width demand sweep `out[i] = xᵢ(λ)`, fanned over the pool
-/// in disjoint contiguous chunks once `n` clears
-/// [`par_threshold`]. Bit-identical to the sequential sweep at any
-/// thread count.
-pub fn par_sweep(table: &DemandTable, utils: &[CappedView], lambda: f64, out: &mut [f64]) {
-    let n = out.len();
-    if n < par_threshold() {
-        table.batch_inverse_derivative(utils, lambda, out);
-        return;
-    }
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = n.div_ceil(threads * 4).max(1);
-    let starts: Vec<usize> = (0..n).step_by(chunk).collect();
-    out.chunks_mut(chunk)
-        .zip(starts)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .for_each(|(slot, start)| table.batch_range(utils, lambda, start, slot));
-}
-
-/// Damped price search on one market. `demand(λ)` must be
-/// non-increasing in λ; each call counts one iteration. Acceptance is
-/// **two-sided** — `|D(λ) − supply| ≤ tol·supply` — because callers
-/// tolerate a small overshoot (placement clips, per-server refinement
-/// rescales), and one-sided acceptance would creep toward the clearing
-/// point in tiny damped steps exactly when a warm start lands near it.
-/// Without acceptance, returns the best *feasible* price seen (demand
-/// ≤ supply); when no finite price is feasible (demand floors above
-/// supply) the returned price is [`LAMBDA_MAX`] with
-/// `converged = false` — callers clip at placement.
-///
-/// `slope0` is an optional dD/dλ estimate from a previous solve of a
-/// nearby market (warm start): when present and negative, the very
-/// first proposal is a Newton step instead of the damped update, so a
-/// warm market typically clears in two evaluations. The returned slope
-/// is this run's last observed finite-difference slope (or `slope0`
-/// when the first evaluation already cleared), for the caller to carry
-/// forward.
-#[allow(clippy::too_many_arguments)]
-fn clear_market<F: FnMut(f64) -> f64>(
-    mut demand: F,
+/// Clear one market with the shared root-finder, starting at `start`:
+/// returns the accepted price and whether a finite price cleared it.
+/// `demand(λ)` must be non-increasing in λ. An unsaturated market (caps
+/// within supply) clears at price zero without a probe.
+fn clearing_price(
     supply: f64,
     sum_caps: f64,
-    lambda0: f64,
-    slope0: Option<f64>,
-    opts: &PriceOpts,
-    budget: Option<&Budget>,
-) -> Result<(f64, bool, u64, f64), SolveError> {
-    // Unsaturated fast path: everyone gets their cap at price zero.
+    start: f64,
+    demand: impl FnMut(f64) -> Result<f64, SolveError>,
+) -> Result<(f64, bool), SolveError> {
     if sum_caps <= supply * (1.0 + 1e-12) {
-        return Ok((0.0, true, 0, f64::NAN));
+        return Ok((0.0, true));
     }
-    let hint = slope0.filter(|s| s.is_finite() && *s < 0.0);
-    let mut lo = 0.0_f64; // demand(lo) > supply
-    let mut hi = f64::INFINITY; // demand(hi) ≤ supply once finite
-    let mut best: Option<f64> = None;
-    let mut lambda = if lambda0.is_finite() && lambda0 > 0.0 {
-        lambda0
-    } else {
-        1.0
+    let search = Search {
+        start,
+        tol: PRICE_TOL,
+        ladder: &[],
     };
-    let mut iters = 0u64;
-    let mut prev: Option<(f64, f64)> = None; // last (λ, D(λ)) evaluated
-    let slope_from = |prev: Option<(f64, f64)>, l: f64, d: f64| -> f64 {
-        match prev {
-            Some((pl, pd)) if pl != l && (d - pd).is_finite() => (d - pd) / (l - pl),
-            _ => hint.unwrap_or(f64::NAN),
-        }
-    };
-    while iters < opts.max_iters as u64 {
-        if let Some(b) = budget {
-            b.check()?;
-        }
-        iters += 1;
-        let d = demand(lambda);
-        if (d - supply).abs() <= opts.tol * supply {
-            let slope = slope_from(prev, lambda, d);
-            return Ok((lambda, true, iters, slope));
-        }
-        if d > supply {
-            lo = lo.max(lambda);
-        } else {
-            hi = hi.min(lambda);
-            best = Some(match best {
-                Some(b) => b.min(lambda),
-                None => lambda,
-            });
-        }
-        if hi.is_finite() && hi - lo <= 1e-12 * hi.max(1.0) {
-            break;
-        }
-        // Safeguarded secant: once two evaluations exist, shoot for the
-        // root of D(λ) − supply through them — superlinear near the
-        // clearing point, where the damped multiplicative step would
-        // otherwise creep by ~(D/supply)^κ per iteration. Falls back to
-        // the damped proposal, then bisection midpoint (or geometric
-        // growth while the bracket is half-open), whenever degenerate
-        // or escaping the bracket.
-        let mut next = f64::NAN;
-        if let Some((pl, pd)) = prev {
-            if pd != d && pl != lambda {
-                next = lambda - (d - supply) * (lambda - pl) / (d - pd);
-            }
-        } else if let Some(s) = hint {
-            // Warm start: Newton step off the carried clearing slope.
-            next = lambda - (d - supply) / s;
-        }
-        // Trust region: a near-flat finite-difference slope (plateaued
-        // demand) would fling the proposal orders of magnitude away,
-        // opening a bracket the arithmetic midpoint then closes only
-        // linearly. One bounded step per iteration still reaches any
-        // magnitude quickly.
-        next = next.clamp(lambda / 8.0, lambda * 8.0);
-        if !next.is_finite() || next <= lo || next >= hi {
-            next = if d > 0.0 && d.is_finite() {
-                lambda * (d / supply).powf(opts.damping)
-            } else {
-                f64::NAN
-            };
-        }
-        if !next.is_finite() || next <= lo || next >= hi {
-            next = if hi.is_finite() {
-                0.5 * (lo + hi)
-            } else {
-                (lambda * 4.0).max(1.0)
-            };
-        }
-        if next > LAMBDA_MAX {
-            break;
-        }
-        prev = Some((lambda, d));
-        lambda = next;
-    }
-    match best {
-        Some(b) => Ok((b, false, iters, f64::NAN)),
-        None => Ok((LAMBDA_MAX, false, iters, f64::NAN)),
-    }
+    Ok(match find_root(search, supply, sum_caps, demand)? {
+        Root::Within { lambda } => (lambda, true),
+        Root::Collapsed { hi, .. } => (hi, true),
+        Root::Unbracketed => (f64::MAX, false),
+    })
 }
 
 /// Deterministic max-remaining placement: thread `i` (in `order`) goes
@@ -393,9 +248,8 @@ fn place(
 /// Per-server refinement: re-clear server `j`'s market over its
 /// residents, spread leftovers, and keep the refined allocation only
 /// if it does not lose utility against the clipped placement. Returns
-/// the refined per-resident amounts, the accepted server price, the
-/// iteration count, and the observed clearing slope (for the warm
-/// state).
+/// the refined per-resident amounts, the accepted server price, and the
+/// number of probes.
 #[allow(clippy::too_many_arguments)]
 fn refine_server(
     table: &DemandTable,
@@ -405,16 +259,19 @@ fn refine_server(
     capacity: f64,
     global_lambda: f64,
     lambda0: f64,
-    slope0: Option<f64>,
-    opts: &PriceOpts,
     budget: Option<&Budget>,
-) -> Result<(Vec<f64>, f64, u64, f64), SolveError> {
+) -> Result<(Vec<f64>, f64, u64), SolveError> {
     let sum_caps: f64 = residents.iter().map(|&i| utils[i].cap()).sum();
     // The closure keeps the per-resident demands of its latest
-    // evaluation so the accepting iteration's work is reused below.
+    // evaluation so the accepting probe's work is reused below.
     let mut vals = vec![0.0f64; residents.len()];
     let mut last_l = f64::NAN;
-    let mut demand = |l: f64| -> f64 {
+    let mut iters = 0u64;
+    let (price, _) = clearing_price(capacity, sum_caps, lambda0, |l| {
+        if let Some(b) = budget {
+            b.check()?;
+        }
+        iters += 1;
         let mut d = 0.0;
         for (k, &i) in residents.iter().enumerate() {
             let v = table.eval(utils, i, l);
@@ -422,10 +279,8 @@ fn refine_server(
             d += v;
         }
         last_l = l;
-        d
-    };
-    let (price, _, iters, slope) =
-        clear_market(&mut demand, capacity, sum_caps, lambda0, slope0, opts, budget)?;
+        Ok(d)
+    })?;
     let mut refined: Vec<f64> = if last_l == price {
         vals
     } else {
@@ -469,7 +324,7 @@ fn refine_server(
     // (trait contract) the refined allocation provably scores at least
     // as high, so the two value sweeps below are skipped.
     if !rescaled && price <= global_lambda {
-        return Ok((refined, price, iters, slope));
+        return Ok((refined, price, iters));
     }
     // Keep whichever allocation scores higher on this server, so
     // refinement can only help.
@@ -484,18 +339,16 @@ fn refine_server(
         .map(|(&i, &c)| utils[i].value(c))
         .sum();
     if util_new >= util_old {
-        Ok((refined, price, iters, slope))
+        Ok((refined, price, iters))
     } else {
-        Ok((clipped.to_vec(), price, iters, slope))
+        Ok((clipped.to_vec(), price, iters))
     }
 }
 
-/// Full price-discovery solve with explicit options, optional budget
-/// and optional warm state. Returns the assignment and the solve's
-/// [`PriceStats`].
-pub fn solve_with_opts(
+/// Full price-discovery solve with an optional budget and optional
+/// warm state. Returns the assignment and the solve's [`PriceStats`].
+pub fn solve_with(
     problem: &Problem,
-    opts: &PriceOpts,
     budget: Option<&Budget>,
     warm: Option<&mut PriceWarmState>,
 ) -> Result<(Assignment, PriceStats), SolveError> {
@@ -543,32 +396,32 @@ pub fn solve_with_opts(
         }
     };
     let sum_caps: f64 = utils.iter().map(|u| u.cap()).sum();
-    let (lambda0, slope0) = if warm_usable {
-        let w = warm.as_ref().expect("warm_usable implies Some");
-        (w.lambda, Some(w.slope))
-    } else {
-        (1.0, None)
-    };
+    let warm_prices = warm
+        .as_ref()
+        .filter(|_| warm_usable)
+        .map(|w| (w.lambda, &w.server_prices[..]));
+    let lambda0 = warm_prices.map_or(1.0, |(l, _)| l);
 
-    // Phase 1: global price discovery — one parallel sweep per
-    // iteration, total summed sequentially for determinism.
+    // Phase 1: global price discovery — one parallel sweep per probe,
+    // total summed sequentially for determinism.
     let mut buf = vec![0.0f64; n];
-    let mut sweeps = 0u64;
     let mut last_swept = f64::NAN;
-    let (lambda, converged, iters, slope) = {
+    let (lambda, converged) = {
         let _d = aa_obs::span!("price_discovery");
-        let demand = |l: f64| -> f64 {
+        clearing_price(supply, sum_caps, lambda0, |l| {
+            if let Some(b) = budget {
+                b.check()?;
+            }
+            stats.iterations += 1;
             par_sweep(&table, &utils, l, &mut buf);
-            sweeps += 1;
             last_swept = l;
-            buf.iter().sum()
-        };
-        clear_market(demand, supply, sum_caps, lambda0, slope0, opts, budget)?
+            Ok(buf.iter().sum())
+        })?
     };
-    stats.iterations = iters;
     stats.converged = converged;
-    // Demand at the accepted price: the accepting evaluation usually
-    // was the last sweep, in which case `buf` already holds it.
+    let mut sweeps = stats.iterations;
+    // Demand at the accepted price: the accepting probe usually was the
+    // last sweep, in which case `buf` already holds it.
     if last_swept != lambda {
         par_sweep(&table, &utils, lambda, &mut buf);
         sweeps += 1;
@@ -597,29 +450,18 @@ pub fn solve_with_opts(
         g
     };
     let refine_span = aa_obs::span!("price_refine");
-    let warm_prices: Option<(&[f64], &[f64])> = if warm_usable {
-        warm.as_ref()
-            .map(|w| (w.server_prices.as_slice(), w.server_slopes.as_slice()))
-    } else {
-        None
-    };
-    let old_server_slopes: Option<Vec<f64>> = warm_prices.map(|(_, s)| s.to_vec());
-    type Refined = Result<(Vec<f64>, f64, u64, f64), SolveError>;
+    type Refined = Result<(Vec<f64>, f64, u64), SolveError>;
     let refined: Vec<Refined> = groups
         .par_iter()
         .map(|residents| {
             let j = match residents.first() {
                 Some(&i) => server[i],
-                None => return Ok((Vec::new(), lambda, 0, f64::NAN)),
+                None => return Ok((Vec::new(), lambda, 0)),
             };
-            let (start, s0) = match warm_prices {
-                Some((p, s)) => (p[j], s.get(j).copied()),
-                None => (lambda, None),
-            };
+            let start = warm_prices.map_or(lambda, |(_, p)| p[j]);
             let local: Vec<f64> = residents.iter().map(|&i| clipped[i]).collect();
             refine_server(
-                &table, &utils, residents, &local, capacity, lambda, start, s0, opts,
-                budget,
+                &table, &utils, residents, &local, capacity, lambda, start, budget,
             )
         })
         .collect();
@@ -627,13 +469,11 @@ pub fn solve_with_opts(
 
     let mut amount = clipped;
     let mut server_prices = vec![lambda; m];
-    let mut server_slopes = vec![f64::NAN; m];
     for (j, res) in refined.into_iter().enumerate() {
-        let (vals, price, r_iters, r_slope) = res?;
+        let (vals, price, r_iters) = res?;
         stats.refine_iterations += r_iters;
         sweeps += r_iters;
         server_prices[j] = price;
-        server_slopes[j] = r_slope;
         for (k, &i) in groups[j].iter().enumerate() {
             amount[i] = vals[k];
         }
@@ -644,24 +484,7 @@ pub fn solve_with_opts(
     if let Some(w) = warm {
         w.valid = true;
         w.lambda = lambda;
-        // Keep the previous slope when this solve accepted on its first
-        // evaluation (no fresh finite-difference pair).
-        if slope.is_finite() {
-            w.slope = slope;
-        } else if !warm_usable {
-            w.slope = f64::NAN;
-        }
-        for (j, s) in server_slopes.iter_mut().enumerate() {
-            if !s.is_finite() {
-                if let Some(old) = old_server_slopes.as_ref() {
-                    if let Some(&o) = old.get(j) {
-                        *s = o;
-                    }
-                }
-            }
-        }
         w.server_prices = server_prices;
-        w.server_slopes = server_slopes;
         w.prev_servers = m;
         w.prev_capacity = capacity;
         w.table = table;
@@ -674,28 +497,28 @@ pub fn solve_with_opts(
     Ok((Assignment { server, amount }, stats))
 }
 
-/// Cold price-discovery solve with default options; never fails.
+/// Cold price-discovery solve; never fails.
 pub fn solve(problem: &Problem) -> Assignment {
-    match solve_with_opts(problem, &PriceOpts::default(), None, None) {
+    match solve_with(problem, None, None) {
         Ok((a, _)) => a,
         Err(_) => unreachable!("unbudgeted price solve cannot fail"),
     }
 }
 
 /// Cold budgeted solve: cooperative budget checks once per price
-/// iteration, global and per-server alike.
+/// probe, global and per-server alike.
 pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, SolveError> {
-    solve_with_opts(problem, &PriceOpts::default(), Some(budget), None).map(|(a, _)| a)
+    solve_with(problem, Some(budget), None).map(|(a, _)| a)
 }
 
-/// Warm solve through a carried [`PriceWarmState`]: brackets start at
+/// Warm solve through a carried [`PriceWarmState`]: searches start at
 /// the previous solve's converged prices, and the state is updated with
 /// this solve's accepted prices on success.
 pub fn solve_warm(
     problem: &Problem,
     state: &mut PriceWarmState,
 ) -> Result<Assignment, SolveError> {
-    solve_with_opts(problem, &PriceOpts::default(), None, Some(state)).map(|(a, _)| a)
+    solve_with(problem, None, Some(state)).map(|(a, _)| a)
 }
 
 /// [`solve_warm`] with a cooperative budget.
@@ -704,7 +527,7 @@ pub fn solve_warm_budgeted(
     state: &mut PriceWarmState,
     budget: &Budget,
 ) -> Result<Assignment, SolveError> {
-    solve_with_opts(problem, &PriceOpts::default(), Some(budget), Some(state)).map(|(a, _)| a)
+    solve_with(problem, Some(budget), Some(state)).map(|(a, _)| a)
 }
 
 #[cfg(test)]
@@ -740,8 +563,7 @@ mod tests {
             .threads((0..3).map(|_| Arc::new(Power::new(1.0, 0.5, 2.0)) as _))
             .build()
             .unwrap();
-        let (a, stats) =
-            solve_with_opts(&p, &PriceOpts::default(), None, None).unwrap();
+        let (a, stats) = solve_with(&p, None, None).unwrap();
         assert!(stats.converged);
         for &c in &a.amount {
             assert!((c - 2.0).abs() < 1e-9);
@@ -768,9 +590,7 @@ mod tests {
         assert!(!state.last_stats().warm);
         let warm = solve_warm(&p, &mut state).unwrap();
         assert!(state.last_stats().warm);
-        assert!(
-            state.last_stats().iterations <= PriceOpts::default().max_iters as u64
-        );
+        assert!(state.last_stats().iterations <= 2, "{:?}", state.last_stats());
         warm.validate(&p).unwrap();
         // Same problem, warm prices: utilities agree tightly.
         let (cu, wu) = (cold.total_utility(&p), warm.total_utility(&p));

@@ -140,7 +140,7 @@ pub trait Solver {
     /// Panic-free solve through a persistent
     /// [`WarmState`](crate::incremental::WarmState): solvers with an
     /// incremental path (see [`Algo2`]'s override) reuse the state's
-    /// warm bracket, linearizations and arena across calls, returning
+    /// warm price, linearizations and arena across calls, returning
     /// output bit-identical to [`Solver::try_solve`]. The default simply
     /// ignores the state, so epoch controllers can thread one through
     /// any solver.
@@ -413,8 +413,8 @@ impl Solver for Algo2Refined {
     }
 }
 
-/// The price-discovery backend (see [`crate::price`]): damped
-/// tâtonnement on a clearing price with pool-parallel demand sweeps,
+/// The price-discovery backend (see [`crate::price`]): a root-finder
+/// on the clearing price with pool-parallel demand sweeps,
 /// per-server refinement, and prices as warm state. Same facade as
 /// [`Algo2`]; built for the `n = 10⁵..10⁶` regime the bisection
 /// pipeline cannot reach.

@@ -24,8 +24,8 @@ pub struct SuperOptimal {
 }
 
 /// Compute the super-optimal allocation by running the Galil-style
-/// bisection allocator with budget `mC` and per-thread cap `min(cap_i, C)`.
-/// `O(n (log mC)²)`.
+/// price-search allocator with budget `mC` and per-thread cap
+/// `min(cap_i, C)`: a few dozen `O(n)` demand sweeps.
 ///
 /// # Example
 ///
@@ -74,8 +74,8 @@ pub fn super_optimal_par(problem: &Problem) -> SuperOptimal {
     }
 }
 
-/// [`super_optimal_par`] under a solve [`Budget`]: the bisection checks
-/// the budget at iteration granularity, and above the allocator's
+/// [`super_optimal_par`] under a solve [`Budget`]: the search checks
+/// the budget once per demand sweep, and above the allocator's
 /// parallel threshold the fanned-out demand maps additionally watch the
 /// budget's cancel token, abandoning unclaimed chunks the moment it
 /// fires. While the budget holds, the result is **bit-identical** to
@@ -100,40 +100,25 @@ pub fn super_optimal_budgeted(
     })
 }
 
-/// The delta path of [`super_optimal`]: re-run the bisection through a
-/// persistent [`bisection::WarmCache`], writing `ĉ` into the caller's
-/// `amounts` buffer. When the cached bracket from the previous solve
-/// still pins the water level (slow drift), this costs two demand maps;
-/// otherwise it re-brackets from the previous level ± a delta-derived
-/// margin, and falls back to an exact cold replay whenever identity
-/// cannot be proven. **Bit-identical** to [`super_optimal`]'s amounts in
-/// every mode. `views` is scratch the caller retains across solves so
-/// the steady state allocates nothing.
+/// The delta path of [`super_optimal`]: re-run the price search through
+/// a persistent [`bisection::WarmCache`], starting at the previous
+/// solve's price and writing `ĉ` into the caller's `amounts` buffer.
+/// When the water level has not moved this costs two demand maps; slow
+/// drift costs a few secant steps. **Bit-identical** to
+/// [`super_optimal`]'s amounts: both searches collapse onto the same
+/// unique adjacent-float pair. `views` is scratch the caller retains
+/// across solves so the steady state allocates nothing.
+///
+/// With a solve [`Budget`] the search checks it once per demand sweep;
+/// expiry leaves the cache cold and surfaces as the budget's typed
+/// error.
 ///
 /// The utility sum `F̂` is *not* computed — the assignment phase only
 /// consumes `ĉ` — which is part of the warm path's speedup. Use
 /// [`super_optimal`] when the bound itself is needed.
 pub fn super_optimal_warm_into(
     problem: &Problem,
-    cache: &mut bisection::WarmCache,
-    views: &mut Vec<crate::problem::CappedView>,
-    amounts: &mut Vec<f64>,
-) -> bisection::WarmStats {
-    let _span = aa_obs::span!("warm_bisection");
-    views.clear();
-    views.extend((0..problem.len()).map(|i| problem.capped_thread(i)));
-    let pool = problem.servers() as f64 * problem.capacity();
-    bisection::allocate_warm_into(views, pool, cache, amounts)
-}
-
-/// [`super_optimal_warm_into`] under a solve [`Budget`], checked at
-/// bisection-iteration granularity. Expiry invalidates the cache (the
-/// bracket may be half-updated) and surfaces as the budget's typed
-/// error; while the budget holds the amounts are bit-identical to
-/// [`super_optimal`].
-pub fn super_optimal_warm_budgeted_into(
-    problem: &Problem,
-    solve_budget: &Budget,
+    solve_budget: Option<&Budget>,
     cache: &mut bisection::WarmCache,
     views: &mut Vec<crate::problem::CappedView>,
     amounts: &mut Vec<f64>,
@@ -143,7 +128,7 @@ pub fn super_optimal_warm_budgeted_into(
     views.extend((0..problem.len()).map(|i| problem.capped_thread(i)));
     let pool = problem.servers() as f64 * problem.capacity();
     bisection::allocate_warm_into_interruptible(views, pool, cache, amounts, &mut || {
-        solve_budget.check()
+        solve_budget.map_or(Ok(()), Budget::check)
     })
 }
 

@@ -315,7 +315,7 @@ impl TieredSolver {
     /// any). This is the per-stream entry point: a shard holding one
     /// `WarmState` per request stream threads the right state through a
     /// *shared* `TieredSolver`, keeping breaker state per shard while
-    /// warm brackets stay per stream. Answers are **bit-identical** to
+    /// warm prices stay per stream. Answers are **bit-identical** to
     /// the cold path regardless of the state passed (the incremental
     /// engine's contract).
     pub fn solve_within_warm(
@@ -353,7 +353,7 @@ impl TieredSolver {
     /// On a panic the passed warm state may have been half-updated;
     /// this entry point [`invalidate`](crate::incremental::WarmState::invalidate)s
     /// it before returning so the next solve through it rebuilds from
-    /// scratch rather than trusting corrupt brackets.
+    /// scratch rather than trusting a corrupt warm state.
     pub fn try_solve_within_caught(
         &self,
         problem: &Problem,

@@ -107,27 +107,26 @@ fn demand_maps_counter_is_per_sweep() {
     let counter = aa_obs::global().counter("aa_bisection_demand_maps_total");
 
     // All-discrete instance, single ladder knot: the flip needs exactly
-    // 4 sweeps — D(knot), the verification at nextafter(knot), and the
-    // two epilogue maps. Per-element accounting would report 8 (n = 2).
+    // 2 sweeps — D(knot) and D(nextafter(knot)); the epilogue reuses
+    // both. Per-element accounting would report 4 (n = 2).
     let stair = vec![
         CappedLinear::new(1.0, 0.3, 10.0),
         CappedLinear::new(1.0, 0.3, 10.0),
     ];
     let before = counter.get();
     let _ = allocate(&stair, 0.25);
-    assert_eq!(counter.get() - before, 4, "ladder path sweep count");
+    assert_eq!(counter.get() - before, 2, "ladder path sweep count");
 
-    // The generic reference arm on the same instance runs the full
-    // bracket-growth + halving search: 2 growth sweeps, 52 halvings to
-    // collapse the width-1 bracket onto the knot at 1.0, 2 epilogue
-    // maps — an order of magnitude above the ladder's 4.
+    // The generic arm on the same instance collapses a step function by
+    // secant and midpoint probes: the secant gains little on a step, so
+    // it takes 49 sweeps — an order of magnitude above the ladder's 2.
     let before = counter.get();
     let _ = allocate_generic(&stair, 0.25);
-    assert_eq!(counter.get() - before, 56, "generic arm sweep count");
+    assert_eq!(counter.get() - before, 49, "generic arm sweep count");
 
     // Smooth instance through the batched kernel: per-sweep magnitude
-    // (≲ growth + 128 halvings + 2), far below per-element n × sweeps,
-    // and exactly deterministic across identical solves.
+    // (a few dozen at most), far below per-element n × sweeps, and
+    // exactly deterministic across identical solves.
     let smooth: Vec<Power> = (0..64).map(|_| Power::new(1.0, 0.5, 100.0)).collect();
     let budget = 0.5 * smooth.iter().map(|u| u.cap()).sum::<f64>();
     let before = counter.get();
@@ -138,7 +137,7 @@ fn demand_maps_counter_is_per_sweep() {
     let second = counter.get() - before;
     assert_eq!(first, second, "sweep count must be deterministic");
     assert!(
-        (50..1000).contains(&first),
+        (5..200).contains(&first),
         "per-sweep magnitude expected, got {first} (per-element would be ≈64×)"
     );
 

@@ -109,7 +109,8 @@ pub fn staircase_demand(lambda: f64, thresholds: &[f64], levels: &[f64]) -> f64 
 /// is the *downward* crossing of the quadratic — the root
 /// `(−B − √disc)/(2A)` for either sign of `A`, computed through the
 /// product-of-roots form `2(C−λ)/(√disc − B)` when `B < 0` to avoid
-/// cancellation. Replaces the trait-default inner bisection (~40
+/// cancellation (rearranged, when `A < 0` too, so every rounding step
+/// is monotone in λ: demand is exactly non-increasing). Replaces the trait-default inner bisection (~40
 /// `derivative` calls per query) that made PCHIP-heavy instances the
 /// benchmark's outlier.
 pub fn pchip_inverse_derivative(lambda: f64, xs: &[f64], ys: &[f64], ds: &[f64]) -> f64 {
@@ -149,6 +150,14 @@ pub fn pchip_inverse_derivative(lambda: f64, xs: &[f64], ys: &[f64], ds: &[f64])
         } else {
             (lambda - c) / b
         }
+    } else if a < 0.0 && b < 0.0 {
+        // The product-of-roots form below divides two quantities that
+        // both shrink as λ grows, so rounding can lift the quotient by
+        // an ulp. Divided through by C − λ, every operation moves one
+        // way as λ grows (w, q and the denominator rise), so t falls.
+        let w = 1.0 / (c - lambda);
+        let q = -b * w;
+        2.0 / (q + (q * q + 4.0 * (-a) * w).sqrt())
     } else {
         let disc = b * b - 4.0 * a * (c - lambda);
         let sd = disc.max(0.0).sqrt();
@@ -162,7 +171,9 @@ pub fn pchip_inverse_derivative(lambda: f64, xs: &[f64], ys: &[f64], ds: &[f64])
         }
     };
     let t = t.clamp(0.0, 1.0);
-    clamp_domain(xs[s] + t * h, cap)
+    // `min` keeps a rounded-up segment end from poking past the next
+    // knot, where the segment after it starts.
+    clamp_domain((xs[s] + t * h).min(xs[s + 1]), cap)
 }
 
 /// One compiled element's demand family.

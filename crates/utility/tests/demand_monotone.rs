@@ -140,3 +140,62 @@ proptest! {
         }
     }
 }
+
+/// Consecutive floats walked up from each sampled price.
+const ULP_WALK: usize = 64;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Exact monotonicity, one float at a time and with no slack: the
+    /// allocator's root-finder relies on `D(λ) > budget` flipping at a
+    /// single pair of adjacent floats, which holds only if no column
+    /// ever rises as λ steps up by one ulp. The PCHIP curves have the
+    /// paper's §VII shape — `(0,0)`, `(C/2,v)`, `(C,v+w)` with `w ≤ v`
+    /// — and the walks start inside their slope ranges, where the
+    /// closed-form quadratic roots are evaluated.
+    #[test]
+    fn every_column_is_nonincreasing_across_adjacent_floats(
+        pchips in prop::collection::vec((1.0..2000.0f64, 0.01..100.0f64, 0.0..1.0f64), 4..8),
+        power_p in (0.01..20.0f64, 0.05..0.99f64),
+        log_p in (0.01..20.0f64, 0.01..10.0f64),
+        picks in prop::collection::vec(0.0..1.0f64, 8),
+    ) {
+        let mut utils: Vec<DynUtility> = Vec::new();
+        let mut lambdas = Vec::new();
+        for &(cap, v, w_frac) in &pchips {
+            let p = Pchip::new(&[(0.0, 0.0), (cap / 2.0, v), (cap, v + w_frac * v)]).unwrap();
+            let (steep, flat) = (p.derivative(0.0), p.derivative(cap));
+            lambdas.extend(picks.iter().map(|f| flat + f * (steep - flat)));
+            lambdas.push(p.derivative(cap / 2.0));
+            utils.push(Arc::new(p));
+        }
+        let cap = pchips[0].0;
+        let (p_scale, p_beta) = power_p;
+        let (l_scale, l_rate) = log_p;
+        utils.push(Arc::new(Power::new(p_scale, p_beta, cap)));
+        utils.push(Arc::new(LogUtility::new(l_scale, l_rate, cap)));
+        utils.push(Arc::new(CappedLinear::new(l_rate, cap / 3.0, cap)));
+        let mut table = DemandTable::new();
+        table.compile(&utils);
+
+        let mut prev = vec![0.0f64; utils.len()];
+        let mut out = vec![0.0f64; utils.len()];
+        for &start in lambdas.iter().filter(|l| **l > 0.0) {
+            let mut l = start;
+            table.batch_inverse_derivative(&utils, l, &mut prev);
+            for _ in 0..ULP_WALK {
+                l = ulp_up(l);
+                table.batch_inverse_derivative(&utils, l, &mut out);
+                for (i, (&a, &b)) in prev.iter().zip(&out).enumerate() {
+                    prop_assert!(
+                        b <= a,
+                        "element {i} ({:?}): demand rose {a:e} -> {b:e} at λ = {l:e}",
+                        utils[i]
+                    );
+                }
+                std::mem::swap(&mut prev, &mut out);
+            }
+        }
+    }
+}
