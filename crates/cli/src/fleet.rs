@@ -1,34 +1,35 @@
-//! `aa-solve serve --fleet N` — a multi-process request loop: worker
-//! *processes*, a routing front-end, and rebalance on membership change.
-//!
-//! The single-process [`crate::serve`] loop isolates solve crashes with
-//! shard *threads*; this module isolates them with whole processes. The
-//! front-end re-execs its own binary N times in the hidden
-//! `serve-worker` mode ([`crate::worker`]) and speaks the
-//! [`crate::proto`] frame protocol over each worker's stdin/stdout
-//! pipes. The client-facing contract is unchanged — LDJSON requests in,
-//! LDJSON responses out, same error classes — with three extra fields on
-//! `status:"ok"` lines (`worker`, `attempts`, `solve_micros`) so clients
-//! and the chaos harness can see routing and retry behaviour.
+//! The serve front-end: one supervising event loop over worker slots,
+//! each on a thread link or a process link (see [`crate::serve`] for the
+//! client-facing contract and [`Link`] for the two links).
 //!
 //! # Event loop
 //!
-//! One thread owns all fleet state (no locks around routing decisions):
+//! All supervision state sits in one [`FleetCore`] behind one lock:
 //!
-//! * the **stdin reader** (the calling thread) parses request lines and
-//!   forwards admissions and control lines as events;
-//! * per worker, a **pipe reader thread** decodes frames into events; a
-//!   truncated, oversized, or unparseable frame is a protocol violation
-//!   and the worker is treated exactly as if it had crashed;
-//! * the **event loop** routes stream keys over
-//!   [`FleetRouter`]'s consistent-hash ring, tracks every admitted
-//!   request in a [`PendingMap`] (exactly-once: the first completion per
-//!   seq wins, later ones are dropped), heartbeats workers, and
-//!   supervises: a dead worker's in-flight requests are pulled back and
-//!   retried on survivors with exponential backoff and seeded jitter,
-//!   its ring ranges reroute, and the worker respawns with backoff.
-//!   Requests that exhaust `--max-retries` dispatches are answered with
-//!   a retryable `class:"internal"` error. After a restart the ring
+//! * the **stdin reader** ([`crate::serve`]) parses and builds requests
+//!   and admits each one under the lock — routing and dispatch happen
+//!   on its thread, so a request reaches its worker in one thread hop —
+//!   and forwards control lines as events;
+//! * a **thread link** runs [`aa_core::shard::serve_jobs`] over a channel
+//!   of already-built problems and sends each answer back as an event;
+//!   whenever the thread exits — channel closed, scheduled death, or a
+//!   panic outside the solver's `catch_unwind` — a drop guard reports it
+//!   gone, so a thread's death needs no heartbeat;
+//! * a **process link** has a pipe reader thread per worker that decodes
+//!   frames into events; a truncated, oversized, or unparseable frame is
+//!   a protocol violation and the worker is treated exactly as if it had
+//!   crashed, and a worker that misses `--heartbeat-miss` pings in a row
+//!   is killed;
+//! * the **event loop** routes stream keys over [`FleetRouter`]'s
+//!   consistent-hash ring (key-less requests go to the least-loaded
+//!   worker), tracks every admitted request in a [`PendingMap`]
+//!   (exactly-once: the first completion per seq wins, later ones are
+//!   dropped), and supervises: a dead worker's in-flight and queued
+//!   requests are pulled back and replayed on survivors with exponential
+//!   backoff and seeded jitter, its ring ranges reroute, and the worker
+//!   respawns with backoff (retired after `--max-restarts`). Requests
+//!   that exhaust `--max-retries` dispatches are answered with a
+//!   retryable `class:"internal"` error. After a restart the ring
 //!   rebalances back lazily: the next request per stream routes to the
 //!   restored owner, parking behind any survivor still working that
 //!   stream (drain → handoff → resume; never two workers on one stream).
@@ -37,65 +38,62 @@
 //!
 //! # Membership control
 //!
-//! A control line `{"control":"resize","fleet":N}` resizes the fleet in
-//! place. Growing spawns new workers; shrinking marks removed workers
-//! draining (they finish in-flight work, then their stdin closes and
-//! they exit cleanly) and hands their ring ranges to the survivors.
+//! A control line `{"control":"resize","fleet":N}` resizes the worker
+//! set in place, on either link. Growing spawns new workers; shrinking
+//! marks removed workers draining (they finish in-flight work, then their
+//! channel or stdin closes and they exit cleanly) and hands their ring
+//! ranges to the survivors.
 //!
 //! # Shutdown
 //!
 //! On stdin EOF the front-end stops admitting and waits up to
 //! `--drain-timeout-ms` for pending requests; whatever remains is
 //! answered with a retryable `class:"shutdown"` error. Workers then see
-//! their own stdin EOF and drain the same way.
+//! their channel or stdin close and drain the same way.
 //!
 //! # Chaos
 //!
-//! [`run_fleet_chaos`] drives a real fleet (worker processes re-execed
-//! from the current binary) through a seeded
-//! [`ProcessChaosPlan`] storm — kills, heartbeat stalls, garbage frames
-//! — keyed on per-worker cumulative solve sequence numbers so the same
-//! seed replays the same storm. The verdict
-//! ([`FleetChaosReport`]) contains only schedule- and invariant-derived
-//! fields, so two runs with the same seed serialize byte-identically.
+//! [`run_fleet_chaos`] drives the real front-end — solver threads or
+//! worker processes re-execed from the current binary — through a seeded
+//! [`FleetChaosPlan`] storm of kills, heartbeat stalls and garbage
+//! frames, keyed on per-worker cumulative solve sequence numbers so the
+//! same seed replays the same storm. The verdict ([`FleetChaosReport`])
+//! contains only schedule- and invariant-derived fields, so two runs
+//! with the same seed serialize byte-identically.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aa_core::fleet::{
     read_frame, write_frame, Backoff, FleetRouter, ParkedQueues, PendingMap, RouteDecision,
-    DEFAULT_DRAIN_TIMEOUT_MS, DEFAULT_HEARTBEAT_INTERVAL_MS, DEFAULT_HEARTBEAT_MISS_LIMIT,
-    DEFAULT_MAX_RETRIES, DEFAULT_RETRY_BACKOFF_BASE_MS, DEFAULT_RETRY_BACKOFF_MAX_MS,
-    DEFAULT_SLO_P99_MS, MAX_FRAME_BYTES,
+    DEFAULT_RETRY_BACKOFF_BASE_MS, DEFAULT_RETRY_BACKOFF_MAX_MS, MAX_FRAME_BYTES,
 };
-use aa_obs::export::{chrome_trace_merged, LaneEvent, TraceLane};
 use aa_core::ring::{splitmix64, Ring};
+use aa_core::shard::{serve_jobs, Fault, ShardConfig, ShardJob, Worker};
 use aa_core::tiered::Tier;
-use aa_core::{Budget, TieredSolver};
+use aa_core::{Budget, Problem, TieredSolver};
+use aa_obs::export::{chrome_trace_merged, LaneEvent, TraceLane};
 use aa_sim::{
-    analyze_fleet, FleetChaosConfig, FleetChaosReport, FleetObservation, FleetObservations,
-    ProcessChaosPlan,
+    analyze_fleet, FleetChaosConfig, FleetChaosPlan, FleetChaosReport, FleetObservation,
+    FleetObservations,
 };
 use aa_utility::UtilitySpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::proto::{FromWorker, SpanBinding, ToWorker, TraceCtx, WireSpan, WorkerResult};
 use crate::serve::{
-    estimated_drain_ms, read_bounded_line, respond, LineRead, ServeCounters, ServeMetrics,
-    ServeRequest, ServeResponse,
+    estimated_drain_ms, respond, run_serve, Link, ServeMetrics, ServeOpts, ServeResponse,
 };
 use crate::{build_problem, CliError, ProblemFile};
-
-/// Default restart budget per worker before it is retired.
-pub const DEFAULT_MAX_RESTARTS: u64 = 8;
 
 /// Parse a `--ladder` flag value: comma-separated [`Tier`] names in
 /// descending order, e.g. `"exact-bb,algo2,uu"`.
@@ -122,86 +120,6 @@ pub fn parse_ladder(s: &str) -> Result<Vec<Tier>, String> {
     Ok(tiers)
 }
 
-/// Configuration for [`run_fleet_serve`].
-#[derive(Debug, Clone)]
-pub struct FleetOpts {
-    /// Worker processes.
-    pub workers: usize,
-    /// Per-worker admission depth; the fleet sheds beyond
-    /// `queue × workers` pending requests.
-    pub queue: usize,
-    /// Deadline for requests that don't carry their own, milliseconds.
-    pub default_deadline_ms: Option<u64>,
-    /// Slack added to a deadline before a completed solve counts as a
-    /// miss, milliseconds.
-    pub grace_ms: u64,
-    /// Longest accepted input line, bytes.
-    pub max_line_bytes: usize,
-    /// Heartbeat ping interval, milliseconds.
-    pub heartbeat_ms: u64,
-    /// Consecutive unanswered pings before a worker is declared dead.
-    pub heartbeat_miss_limit: u32,
-    /// Dispatch attempts per request before it is answered with a
-    /// retryable `class:"internal"` error.
-    pub max_retries: u32,
-    /// Restarts per worker before it is retired.
-    pub max_restarts: u64,
-    /// Post-EOF drain budget, milliseconds (also forwarded to workers).
-    pub drain_timeout_ms: u64,
-    /// Per-worker warm-stream cap (forwarded to workers).
-    pub max_streams: usize,
-    /// Circuit-breaker trip threshold (forwarded to workers).
-    pub breaker_threshold: u32,
-    /// Circuit-breaker cooldown, in solves (forwarded to workers).
-    pub breaker_cooldown: u64,
-    /// Solver ladder override (forwarded to workers); `None` is the
-    /// full default ladder.
-    pub ladder: Option<Vec<Tier>>,
-    /// Seed for retry/respawn backoff jitter.
-    pub seed: u64,
-    /// Merged-trace output path (`--trace`). When set, workers run with
-    /// `--obs-spans`, every request carries a [`TraceCtx`], and the
-    /// front-end writes one Chrome trace with a lane per worker process
-    /// at shutdown.
-    pub trace: Option<PathBuf>,
-    /// End-to-end p99 latency objective, milliseconds (`--slo-p99-ms`);
-    /// `None` uses [`DEFAULT_SLO_P99_MS`].
-    pub slo_p99_ms: Option<u64>,
-    /// Worker executable override; `None` re-execs the current binary.
-    /// A testing hook (`--worker-cmd`): the malformed-frame binary test
-    /// substitutes a stub worker through it.
-    pub worker_cmd: Option<PathBuf>,
-    /// Scheduled process faults, forwarded per worker. `None` in
-    /// production.
-    pub chaos: Option<ProcessChaosPlan>,
-}
-
-impl Default for FleetOpts {
-    fn default() -> Self {
-        FleetOpts {
-            workers: 4,
-            queue: 16,
-            default_deadline_ms: None,
-            grace_ms: 10,
-            max_line_bytes: 1 << 20,
-            heartbeat_ms: DEFAULT_HEARTBEAT_INTERVAL_MS,
-            heartbeat_miss_limit: DEFAULT_HEARTBEAT_MISS_LIMIT,
-            max_retries: DEFAULT_MAX_RETRIES,
-            max_restarts: DEFAULT_MAX_RESTARTS,
-            drain_timeout_ms: DEFAULT_DRAIN_TIMEOUT_MS,
-            max_streams: 1024,
-            breaker_threshold: aa_core::tiered::DEFAULT_BREAKER_THRESHOLD,
-            breaker_cooldown: aa_core::tiered::DEFAULT_BREAKER_COOLDOWN,
-            ladder: None,
-            seed: 0,
-            trace: None,
-            slo_p99_ms: None,
-            worker_cmd: None,
-            chaos: None,
-        }
-    }
-}
-
 /// The payload [`PendingMap`] carries for every admitted request —
 /// everything needed to replay it on another worker or answer it.
 struct Job {
@@ -209,35 +127,37 @@ struct Job {
     deadline_ms: Option<u64>,
     arrived: Instant,
     deadline: Option<Instant>,
-    problem: ProblemFile,
+    /// The request's spec, for process links.
+    spec: ProblemFile,
+    /// The problem built once by the reader, for thread links.
+    problem: Problem,
 }
 
-/// A parsed request line, carried from the stdin reader to the event
-/// loop.
-struct Admit {
-    id: serde_json::Value,
-    stream: Option<u64>,
-    deadline_ms: Option<u64>,
-    arrived: Instant,
-    problem: ProblemFile,
+/// A parsed, validated request line, carried from the stdin reader to
+/// the event loop.
+pub(crate) struct Admit {
+    pub(crate) id: serde_json::Value,
+    pub(crate) stream: Option<u64>,
+    pub(crate) deadline_ms: Option<u64>,
+    pub(crate) arrived: Instant,
+    pub(crate) spec: ProblemFile,
+    pub(crate) problem: Problem,
 }
 
 /// Everything the event loop reacts to.
-enum Event {
-    Admit(Box<Admit>),
+pub(crate) enum Event {
     Resize { workers: usize, id: serde_json::Value },
     FromWorker { worker: usize, incarnation: u64, msg: FromWorker },
     WorkerGone { worker: usize, incarnation: u64 },
     Eof,
 }
 
-/// A `status:"ok"` fleet response: the [`ServeResponse::Ok`] fields plus
-/// `worker` (which process answered), `attempts` (dispatches the request
-/// took; >1 means it survived a worker crash), and `solve_micros`
-/// (worker-side solve wall time). Single-process serve omits the extras;
-/// every field it does emit is produced identically here.
+/// A `status:"ok"` line: the [`ServeResponse::Ok`] fields plus `worker`
+/// (which slot answered), `attempts` (dispatches the request took; >1
+/// means it survived a worker death), and `solve_micros` (worker-side
+/// solve wall time).
 #[derive(Debug, Clone, Serialize)]
-struct FleetOk {
+struct OkLine {
     status: String,
     id: serde_json::Value,
     tier: String,
@@ -260,29 +180,17 @@ struct ResizeAck {
     was: usize,
 }
 
-/// Write one JSON line. [`ServeResponse`] lines go through [`respond`];
-/// this is the same code path for the fleet-specific shapes.
-fn emit<W: Write, T: Serialize>(out: &Mutex<W>, v: &T) {
-    let line = serde_json::to_string(v).expect("responses always serialize");
-    let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-    // A dead output pipe is not fatal mid-drain: the loop still owes
-    // every worker an orderly shutdown.
-    let _ = writeln!(w, "{line}");
-    let _ = w.flush();
-}
-
 /// Per-worker registry handles (`aa_fleet_*{worker=…}`).
 struct WorkerMetrics {
     restarts: aa_obs::Counter,
     dispatched: aa_obs::Counter,
     up: aa_obs::Gauge,
-    solves: aa_obs::Gauge,
-    solve_panics: aa_obs::Gauge,
+    solves: aa_obs::Counter,
+    solve_panics: aa_obs::Counter,
 }
 
-/// Front-end registry handles (`aa_fleet_*`), alongside the request
-/// accounting the fleet shares with single-process serve
-/// ([`ServeMetrics`], the `aa_serve_*` family).
+/// Supervisor registry handles (`aa_fleet_*`), alongside the request
+/// accounting of [`ServeMetrics`] (the `aa_serve_*` family).
 struct FleetMetrics {
     dispatched: aa_obs::Counter,
     parked: aa_obs::Counter,
@@ -326,20 +234,41 @@ impl FleetMetrics {
                     &w,
                 ),
                 up: registry.gauge_labeled("aa_fleet_worker_up", "worker", &w),
-                solves: registry.gauge_labeled("aa_fleet_worker_solves", "worker", &w),
-                solve_panics: registry.gauge_labeled("aa_fleet_worker_solve_panics", "worker", &w),
+                solves: registry.counter_labeled("aa_fleet_worker_solves_total", "worker", &w),
+                solve_panics: registry.counter_labeled(
+                    "aa_fleet_worker_solve_panics_total",
+                    "worker",
+                    &w,
+                ),
             });
         }
     }
 }
 
-/// One worker slot's process-supervision state. The slot outlives its
-/// process: each respawn bumps `incarnation`, and pipe events carrying
-/// a stale incarnation are discarded.
+/// A worker slot's live connection, one per link.
+enum Conn {
+    /// A solver thread fed over a channel; `jobs` is `None` once closed
+    /// (the thread answers what it holds, then exits).
+    Thread { jobs: Option<Sender<ShardJob>>, handle: JoinHandle<()> },
+    /// A child process speaking frames; `stdin` is `None` once closed.
+    Process { child: Child, stdin: Option<ChildStdin>, reader: JoinHandle<()> },
+}
+
+impl Conn {
+    /// Close the worker's input: it drains what it holds and exits.
+    fn close(&mut self) {
+        match self {
+            Conn::Thread { jobs, .. } => *jobs = None,
+            Conn::Process { stdin, .. } => *stdin = None,
+        }
+    }
+}
+
+/// One worker slot's supervision state. The slot outlives its worker:
+/// each respawn bumps `incarnation`, and events carrying a stale
+/// incarnation are discarded.
 struct WorkerSlot {
-    child: Option<Child>,
-    stdin: Option<std::process::ChildStdin>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    conn: Option<Conn>,
     incarnation: u64,
     up: bool,
     retired: bool,
@@ -360,9 +289,7 @@ struct WorkerSlot {
 impl WorkerSlot {
     fn empty() -> Self {
         WorkerSlot {
-            child: None,
-            stdin: None,
-            reader: None,
+            conn: None,
             incarnation: 0,
             up: false,
             retired: false,
@@ -379,8 +306,38 @@ impl WorkerSlot {
     }
 }
 
+/// Slot `w`'s scheduled faults (empty outside chaos runs).
+fn slot_faults(opts: &ServeOpts, w: usize) -> Vec<(u64, Fault)> {
+    opts.chaos.as_ref().and_then(|plan| plan.faults.get(w).cloned()).unwrap_or_default()
+}
+
+/// The worker body's solver settings.
+fn shard_config(opts: &ServeOpts) -> ShardConfig {
+    ShardConfig {
+        max_streams: opts.max_streams,
+        breaker_threshold: opts.breaker_threshold,
+        breaker_cooldown: opts.breaker_cooldown,
+        ladder: opts.ladder.clone(),
+        ..ShardConfig::default()
+    }
+}
+
+/// Reports a thread worker gone when its thread exits, however it
+/// exits — the thread link's analogue of a process's pipe EOF.
+struct Gone {
+    tx: Sender<Event>,
+    worker: usize,
+    incarnation: u64,
+}
+
+impl Drop for Gone {
+    fn drop(&mut self) {
+        let _ = self.tx.send(Event::WorkerGone { worker: self.worker, incarnation: self.incarnation });
+    }
+}
+
 /// Build the `serve-worker` argv for slot `w` (pure, for tests).
-fn worker_args(opts: &FleetOpts, w: usize, chaos_offset: u64) -> Vec<String> {
+fn worker_args(opts: &ServeOpts, w: usize, chaos_offset: u64) -> Vec<String> {
     let mut args = vec![
         "serve-worker".to_string(),
         "--index".to_string(),
@@ -401,15 +358,12 @@ fn worker_args(opts: &FleetOpts, w: usize, chaos_offset: u64) -> Vec<String> {
         args.push("--ladder".to_string());
         args.push(ladder.iter().map(|t| t.name()).collect::<Vec<_>>().join(","));
     }
-    if let Some(plan) = &opts.chaos {
-        if let Some(faults) = plan.faults.get(w) {
-            if !faults.is_empty() {
-                args.push("--chaos-faults".to_string());
-                args.push(serde_json::to_string(faults).expect("plan serializes"));
-                args.push("--chaos-offset".to_string());
-                args.push(chaos_offset.to_string());
-            }
-        }
+    let faults = slot_faults(opts, w);
+    if !faults.is_empty() {
+        args.push("--chaos-faults".to_string());
+        args.push(serde_json::to_string(&faults).expect("plan serializes"));
+        args.push("--chaos-offset".to_string());
+        args.push(chaos_offset.to_string());
     }
     args
 }
@@ -691,8 +645,8 @@ fn retire_worker_export(registry: &aa_obs::Registry, fm: &FleetMetrics, w: usize
 }
 
 /// The event loop's state. One instance, owned by one thread.
-struct FleetCore<'a, W: Write> {
-    opts: &'a FleetOpts,
+pub(crate) struct FleetCore<'a, W: Write> {
+    opts: &'a ServeOpts,
     registry: &'a aa_obs::Registry,
     out: &'a Mutex<W>,
     metrics: &'a ServeMetrics,
@@ -720,8 +674,8 @@ struct FleetCore<'a, W: Write> {
 }
 
 impl<'a, W: Write> FleetCore<'a, W> {
-    fn new(
-        opts: &'a FleetOpts,
+    pub(crate) fn new(
+        opts: &'a ServeOpts,
         registry: &'a aa_obs::Registry,
         out: &'a Mutex<W>,
         metrics: &'a ServeMetrics,
@@ -768,14 +722,55 @@ impl<'a, W: Write> FleetCore<'a, W> {
         Ok(core)
     }
 
-    /// Spawn (or respawn) slot `w` and its pipe reader thread.
+    /// Spawn (or respawn) slot `w` on the configured link. A thread is
+    /// routable at once; a process after its hello.
     fn spawn_worker(&mut self, w: usize) -> std::io::Result<()> {
+        let inc = self.next_incarnation;
+        self.next_incarnation += 1;
+        let conn = match self.opts.link {
+            Link::Thread => self.spawn_thread(w, inc)?,
+            Link::Process => self.spawn_process(w, inc)?,
+        };
+        let slot = &mut self.slots[w];
+        slot.conn = Some(conn);
+        slot.incarnation = inc;
+        slot.up = false;
+        slot.resp_count = 0;
+        slot.respawn_at = None;
+        slot.spawned_at = Instant::now();
+        slot.unanswered_pings = 0;
+        slot.in_flight = 0;
+        if self.opts.link == Link::Thread {
+            self.on_hello(w);
+        }
+        Ok(())
+    }
+
+    /// A solver thread running the worker body over a job channel.
+    fn spawn_thread(&self, w: usize, inc: u64) -> std::io::Result<Conn> {
+        let (jobs, rx) = mpsc::channel::<ShardJob>();
+        let tx = self.tx.clone();
+        let cfg = shard_config(self.opts);
+        let faults = slot_faults(self.opts, w);
+        let offset = self.slots[w].chaos_offset;
+        let handle = std::thread::Builder::new().name(format!("aa-worker-{w}")).spawn(move || {
+            let _gone = Gone { tx: tx.clone(), worker: w, incarnation: inc };
+            let mut worker = Worker::new(w, &cfg, faults, offset);
+            // A scheduled death just returns: `_gone` reports it.
+            let _ = serve_jobs(&mut worker, &rx, |c| {
+                let msg = FromWorker::Resp { seq: c.seq, result: WorkerResult::from(c) };
+                let _ = tx.send(Event::FromWorker { worker: w, incarnation: inc, msg });
+            });
+        })?;
+        Ok(Conn::Thread { jobs: Some(jobs), handle })
+    }
+
+    /// A `serve-worker` child process and its pipe reader thread.
+    fn spawn_process(&self, w: usize, inc: u64) -> std::io::Result<Conn> {
         let program = match &self.opts.worker_cmd {
             Some(p) => p.clone(),
             None => std::env::current_exe()?,
         };
-        let inc = self.next_incarnation;
-        self.next_incarnation += 1;
         let mut child = Command::new(program)
             .args(worker_args(self.opts, w, self.slots[w].chaos_offset))
             .stdin(Stdio::piped())
@@ -786,51 +781,53 @@ impl<'a, W: Write> FleetCore<'a, W> {
         let stdin = child.stdin.take().expect("stdin piped");
         let tx = self.tx.clone();
         let reader = std::thread::spawn(move || reader_thread(stdout, w, inc, &tx));
-        let slot = &mut self.slots[w];
-        slot.child = Some(child);
-        slot.stdin = Some(stdin);
-        slot.reader = Some(reader);
-        slot.incarnation = inc;
-        slot.up = false;
-        slot.resp_count = 0;
-        slot.respawn_at = None;
-        slot.spawned_at = Instant::now();
-        slot.unanswered_pings = 0;
-        slot.in_flight = 0;
-        Ok(())
+        Ok(Conn::Process { child, stdin: Some(stdin), reader })
     }
 
-    /// Best-effort frame write; a dead pipe surfaces via the reader's
-    /// `WorkerGone`, which replays whatever was assigned.
-    fn send_to(&mut self, w: usize, msg: &ToWorker) {
+    /// Best-effort frame write to a process link; a dead pipe surfaces
+    /// via the reader's `WorkerGone`, which replays whatever was
+    /// assigned.
+    fn send_frame(&mut self, w: usize, msg: &ToWorker) {
         let payload = serde_json::to_string(msg).expect("requests always serialize");
-        if let Some(stdin) = self.slots[w].stdin.as_mut() {
+        if let Some(Conn::Process { stdin: Some(stdin), .. }) = self.slots[w].conn.as_mut() {
             let _ = write_frame(stdin, payload.as_bytes());
             let _ = stdin.flush();
         }
     }
 
-    fn run(mut self, rx: &Receiver<Event>) {
-        self.last_tick = Instant::now();
+    /// The event loop: worker events and timers, until EOF and a
+    /// drained (or timed-out) pending map. Admissions arrive through
+    /// [`FleetCore::on_admit`] on the reader's thread, under the same
+    /// lock, so a request reaches its worker with one thread hop.
+    pub(crate) fn run(core: &Mutex<Self>, rx: &Receiver<Event>) {
+        let lock = || core.lock().expect("the supervisor lock is never held across a panic");
+        lock().last_tick = Instant::now();
         loop {
-            match rx.recv_timeout(self.next_wakeup()) {
-                Ok(ev) => self.handle(ev),
+            let wait = lock().next_wakeup();
+            let event = rx.recv_timeout(wait);
+            let mut core = lock();
+            match event {
+                Ok(ev) => core.handle(ev),
                 Err(RecvTimeoutError::Timeout) => {}
-                // Unreachable while `self.tx` lives, but harmless.
+                // Unreachable while `core.tx` lives, but harmless.
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-            self.service_timers();
-            if self.eof {
-                if self.pending.is_empty() {
+            core.service_timers();
+            if core.eof {
+                if core.pending.is_empty() {
                     break;
                 }
-                if self.drain_deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.flush_shutdown();
+                if core.drain_deadline.is_some_and(|d| Instant::now() >= d) {
+                    core.fail_pending(
+                        "shutdown",
+                        "front-end shutting down before the request was answered; safe to retry",
+                    );
                     break;
                 }
             }
         }
-        self.shutdown();
+        let mut core = lock();
+        core.shutdown();
         // A worker ships its final span batch right after the answer
         // that emptied `pending`, so those frames may still be queued
         // when the loop exits. Absorb the stragglers (Obs only —
@@ -838,10 +835,10 @@ impl<'a, W: Write> FleetCore<'a, W> {
         // trace and federated metrics cover every solve.
         while let Ok(ev) = rx.try_recv() {
             if let Event::FromWorker { msg: FromWorker::Obs { .. }, .. } = &ev {
-                self.handle(ev);
+                core.handle(ev);
             }
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &core.obs {
             obs.write();
         }
     }
@@ -892,7 +889,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 * u64::from(self.opts.heartbeat_miss_limit.max(1) + 1),
         );
         for w in 0..self.slots.len() {
-            if self.slots[w].child.is_none() || self.slots[w].retired {
+            let is_process = matches!(self.slots[w].conn, Some(Conn::Process { .. }));
+            if !is_process || self.slots[w].retired {
                 continue;
             }
             if !self.slots[w].up {
@@ -907,15 +905,16 @@ impl<'a, W: Write> FleetCore<'a, W> {
             }
             self.slots[w].nonce += 1;
             let ping = ToWorker::Ping { nonce: self.slots[w].nonce };
-            self.send_to(w, &ping);
+            self.send_frame(w, &ping);
             self.slots[w].unanswered_pings += 1;
             self.maybe_close_draining(w);
         }
     }
 
-    /// Force-kill a wedged worker; its reader thread reports the death.
+    /// Force-kill a wedged worker process; its reader thread reports
+    /// the death.
     fn kill_worker(&mut self, w: usize) {
-        if let Some(child) = self.slots[w].child.as_mut() {
+        if let Some(Conn::Process { child, .. }) = self.slots[w].conn.as_mut() {
             let _ = child.kill();
         }
     }
@@ -923,13 +922,14 @@ impl<'a, W: Write> FleetCore<'a, W> {
     /// A shrink-drained worker with nothing in flight gets its EOF.
     fn maybe_close_draining(&mut self, w: usize) {
         if self.slots[w].draining && self.slots[w].in_flight == 0 {
-            self.slots[w].stdin = None;
+            if let Some(conn) = self.slots[w].conn.as_mut() {
+                conn.close();
+            }
         }
     }
 
     fn handle(&mut self, ev: Event) {
         match ev {
-            Event::Admit(admit) => self.on_admit(*admit),
             Event::Resize { workers, id } => self.on_resize(workers, id),
             Event::FromWorker { worker, incarnation, msg } => {
                 if worker >= self.slots.len() || self.slots[worker].incarnation != incarnation {
@@ -942,13 +942,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
                         }
                         self.on_hello(worker);
                     }
-                    FromWorker::Pong { solves, solve_panics, now_micros, metrics, .. } => {
+                    FromWorker::Pong { now_micros, metrics, .. } => {
                         self.slots[worker].unanswered_pings = 0;
-                        #[allow(clippy::cast_precision_loss)]
-                        {
-                            self.fm.per_worker[worker].solves.set(solves as f64);
-                            self.fm.per_worker[worker].solve_panics.set(solve_panics as f64);
-                        }
                         if let Some(obs) = &mut self.obs {
                             obs.on_worker_clock(worker, incarnation, None, now_micros);
                         }
@@ -982,7 +977,9 @@ impl<'a, W: Write> FleetCore<'a, W> {
         }
     }
 
-    fn on_admit(&mut self, admit: Admit) {
+    /// Admit one validated request: shed it past `queue × workers`
+    /// pending, else enter it in the ledger and dispatch it.
+    pub(crate) fn on_admit(&mut self, admit: Admit) {
         let cap = self.opts.queue.max(1) * self.router.workers().max(1);
         if self.pending.len() >= cap {
             self.metrics.shed.inc();
@@ -1009,6 +1006,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
             deadline_ms: admit.deadline_ms,
             arrived: admit.arrived,
             deadline,
+            spec: admit.spec,
             problem: admit.problem,
         };
         self.pending
@@ -1032,6 +1030,32 @@ impl<'a, W: Write> FleetCore<'a, W> {
         }
     }
 
+    /// Answer a request with an error line: count it by class, close
+    /// its SLO and trace accounting, write it.
+    fn answer_error(&mut self, seq: u64, job: Job, class: &str, queue_expired: bool, error: String) {
+        match class {
+            "deadline" if queue_expired => self.metrics.expired_in_queue.inc(),
+            "deadline" | "solve" | "problem" => self.metrics.solve_errors.inc(),
+            "solve_panic" => {
+                self.metrics.solve_errors.inc();
+                self.metrics.solve_panics.inc();
+            }
+            "shutdown" => self.fm.shutdown_answers.inc(),
+            _ => self.metrics.internal_errors.inc(),
+        }
+        self.observe_completion(seq, job.arrived, class);
+        respond(self.out, &ServeResponse::Error { id: job.id, class: class.to_string(), error }).ok();
+    }
+
+    /// Dispatch the requests parked on streams a router change released.
+    fn release_streams(&mut self, streams: Vec<u64>) {
+        for stream in streams {
+            for seq in self.parked.release(stream) {
+                self.dispatch(seq);
+            }
+        }
+    }
+
     /// Route and send one pending, unassigned request.
     fn dispatch(&mut self, seq: u64) {
         let Some(entry) = self.pending.get(seq) else {
@@ -1043,18 +1067,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
         let stream = entry.stream;
         if entry.job.deadline.is_some_and(|d| Instant::now() >= d) {
             let e = self.pending.complete(seq).expect("just observed pending");
-            self.metrics.expired_in_queue.inc();
-            self.observe_completion(seq, e.job.arrived, "deadline");
-            let d = e.job.deadline_ms.unwrap_or(0);
-            respond(
-                self.out,
-                &ServeResponse::Error {
-                    id: e.job.id,
-                    class: "deadline".to_string(),
-                    error: format!("deadline ({d} ms) expired before dispatch"),
-                },
-            )
-            .ok();
+            let error = format!("deadline ({} ms) expired before dispatch", e.job.deadline_ms.unwrap_or(0));
+            self.answer_error(seq, e.job, "deadline", true, error);
             return;
         }
         match stream {
@@ -1080,22 +1094,35 @@ impl<'a, W: Write> FleetCore<'a, W> {
     }
 
     fn send_req(&mut self, w: usize, seq: u64) {
-        let now = Instant::now();
         self.pending.assign(seq, w).expect("dispatch checked pending");
         let entry = self.pending.get(seq).expect("just assigned");
-        #[allow(clippy::cast_possible_truncation)]
-        let budget_ms = entry
-            .job
-            .deadline
-            .map(|d| d.saturating_duration_since(now).as_millis() as u64);
-        let problem = entry.job.problem.clone();
-        let stream = entry.stream;
         let trace = self.obs.as_mut().and_then(|o| o.dispatch_ctx(seq));
-        let msg = ToWorker::Req { seq, stream, budget_ms, trace, problem };
+        match self.slots[w].conn.as_mut() {
+            Some(Conn::Thread { jobs: Some(jobs), .. }) => {
+                // A dead thread drops the job; its `WorkerGone` replays it.
+                let job = ShardJob::new(seq, entry.stream, entry.job.problem.clone(), entry.job.deadline);
+                let _ = jobs.send(job);
+            }
+            Some(Conn::Process { .. }) => {
+                #[allow(clippy::cast_possible_truncation)]
+                let budget_ms = entry
+                    .job
+                    .deadline
+                    .map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64);
+                let msg = ToWorker::Req {
+                    seq,
+                    stream: entry.stream,
+                    budget_ms,
+                    trace,
+                    problem: entry.job.spec.clone(),
+                };
+                self.send_frame(w, &msg);
+            }
+            _ => {}
+        }
         self.slots[w].in_flight += 1;
         self.fm.dispatched.inc();
         self.fm.per_worker[w].dispatched.inc();
-        self.send_to(w, &msg);
     }
 
     /// No routable worker: hold the request unless the whole fleet is
@@ -1103,18 +1130,8 @@ impl<'a, W: Write> FleetCore<'a, W> {
     fn no_workers(&mut self, seq: u64) {
         if self.all_retired() {
             if let Some(e) = self.pending.complete(seq) {
-                self.metrics.internal_errors.inc();
-                self.observe_completion(seq, e.job.arrived, "internal");
-                respond(
-                    self.out,
-                    &ServeResponse::Error {
-                        id: e.job.id,
-                        class: "internal".to_string(),
-                        error: "no live fleet workers (all retired); safe to retry elsewhere"
-                            .to_string(),
-                    },
-                )
-                .ok();
+                let error = "no live workers (all retired); safe to retry elsewhere".to_string();
+                self.answer_error(seq, e.job, "internal", false, error);
             }
         } else {
             self.pen.push_back(seq);
@@ -1150,13 +1167,12 @@ impl<'a, W: Write> FleetCore<'a, W> {
         match result {
             WorkerResult::Ok { tier, degraded, utility, server, allocation, solve_micros } => {
                 self.metrics.solved.inc();
+                self.fm.per_worker[w].solves.inc();
                 self.observe_completion(seq, job.arrived, "ok");
                 let latency_ms = job.arrived.elapsed().as_secs_f64() * 1e3;
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 self.metrics.latency.record_micros(((latency_ms * 1e3) as u64).max(1));
-                // Tier names come from the wire here, so look up safely
-                // instead of `ServeMetrics::tier` (which asserts the name
-                // is pre-registered).
+                // Tier names may come from the wire, so look up safely.
                 if let Some((_, h)) = self.metrics.per_tier.iter().find(|(n, _)| *n == tier) {
                     h.record_micros(solve_micros.max(1));
                 }
@@ -1166,9 +1182,9 @@ impl<'a, W: Write> FleetCore<'a, W> {
                         self.metrics.deadline_misses.inc();
                     }
                 }
-                emit(
+                respond(
                     self.out,
-                    &FleetOk {
+                    &OkLine {
                         status: "ok".to_string(),
                         id: job.id,
                         tier,
@@ -1181,30 +1197,19 @@ impl<'a, W: Write> FleetCore<'a, W> {
                         attempts,
                         solve_micros,
                     },
-                );
+                )
+                .ok();
             }
             WorkerResult::Err { class, error, queue_expired, .. } => {
-                match class.as_str() {
-                    "deadline" if queue_expired => self.metrics.expired_in_queue.inc(),
-                    "deadline" | "solve" | "problem" => self.metrics.solve_errors.inc(),
-                    "solve_panic" => {
-                        self.metrics.solve_errors.inc();
-                        self.metrics.solve_panics.inc();
-                    }
-                    "shutdown" => self.fm.shutdown_answers.inc(),
-                    _ => self.metrics.internal_errors.inc(),
+                if class == "solve_panic" {
+                    self.fm.per_worker[w].solve_panics.inc();
                 }
-                self.observe_completion(seq, job.arrived, &class);
-                respond(self.out, &ServeResponse::Error { id: job.id, class, error }).ok();
+                self.answer_error(seq, job, &class, queue_expired, error);
             }
         }
         if let Some(strm) = entry.stream {
-            for released in self.router.complete(strm, w) {
-                let queue = self.parked.release(released);
-                for parked_seq in queue {
-                    self.dispatch(parked_seq);
-                }
-            }
+            let released = self.router.complete(strm, w);
+            self.release_streams(released);
         }
         self.maybe_close_draining(w);
     }
@@ -1216,26 +1221,28 @@ impl<'a, W: Write> FleetCore<'a, W> {
             return;
         }
         // Reap this incarnation.
-        if let Some(h) = self.slots[w].reader.take() {
-            let _ = h.join();
+        match self.slots[w].conn.take() {
+            Some(Conn::Process { mut child, reader, .. }) => {
+                let _ = reader.join();
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+            Some(Conn::Thread { handle, .. }) => {
+                let panicked = handle.join().is_err();
+                if panicked {
+                    aa_obs::obs_warn!("serve", "worker thread {w} panicked outside its solver");
+                }
+            }
+            None => {}
         }
-        if let Some(mut child) = self.slots[w].child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        self.slots[w].stdin = None;
         self.slots[w].up = false;
         self.slots[w].unanswered_pings = 0;
         self.fm.per_worker[w].up.set(0.0);
 
         // Reroute: streams the dead worker held release to their ring
         // successor immediately.
-        for strm in self.router.worker_down(w) {
-            let queue = self.parked.release(strm);
-            for seq in queue {
-                self.dispatch(seq);
-            }
-        }
+        let released = self.router.worker_down(w);
+        self.release_streams(released);
 
         // Replay in-flight requests — reinsert-then-complete, so the
         // pending map stays the sole exactly-once bookkeeper.
@@ -1252,21 +1259,11 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 .expect("taken seqs are no longer in the map");
             if exhausted {
                 let e = self.pending.complete(seq).expect("just reinserted");
-                self.metrics.internal_errors.inc();
                 self.fm.exhausted.inc();
-                self.observe_completion(seq, e.job.arrived, "internal");
-                respond(
-                    self.out,
-                    &ServeResponse::Error {
-                        id: e.job.id,
-                        class: "internal".to_string(),
-                        error: format!(
-                            "request lost {attempts} dispatch attempts to worker crashes; \
-                             safe to retry"
-                        ),
-                    },
-                )
-                .ok();
+                let error = format!(
+                    "request lost {attempts} dispatch attempts to worker crashes; safe to retry"
+                );
+                self.answer_error(seq, e.job, "internal", false, error);
             } else {
                 self.fm.retries.inc();
                 let delay = self.retry_backoff.delay(attempts.max(1), &mut self.rng);
@@ -1285,31 +1282,44 @@ impl<'a, W: Write> FleetCore<'a, W> {
             retire_worker_export(self.registry, &self.fm, w);
             return;
         }
-        if self.slots[w].deaths > self.opts.max_restarts {
-            self.slots[w].retired = true;
-            retire_worker_export(self.registry, &self.fm, w);
-            if self.all_retired() {
-                self.fail_all_pending();
-            }
-            return;
-        }
         // Next incarnation's chaos offset: the plan's fault seq for this
         // death keeps the cumulative solve counter exact (the fault that
         // just fired can never re-fire); unplanned deaths fall back to
         // the observed response count.
-        let fallback = self.slots[w].chaos_offset + self.slots[w].resp_count;
-        self.slots[w].chaos_offset = match &self.opts.chaos {
-            Some(plan) => plan
-                .faults
-                .get(w)
-                .and_then(|fs| fs.get(self.slots[w].deaths as usize - 1))
-                .map_or(fallback, |&(seq, _)| seq),
-            None => fallback,
+        // A contained panic never kills, and a thread has no heartbeat
+        // for a stall to miss.
+        let deadly = |f: &Fault| match f {
+            Fault::Kill | Fault::Garbage => true,
+            Fault::Stall { .. } => self.opts.link == Link::Process,
+            Fault::Panic => false,
         };
+        let fallback = self.slots[w].chaos_offset + self.slots[w].resp_count;
+        #[allow(clippy::cast_possible_truncation)]
+        let death = self.slots[w].deaths as usize - 1;
+        self.slots[w].chaos_offset = slot_faults(self.opts, w)
+            .iter()
+            .filter(|(_, f)| deadly(f))
+            .nth(death)
+            .map_or(fallback, |&(seq, _)| seq);
+        self.retire_or_respawn(w);
+    }
+
+    /// Weigh a slot's deaths against the restart budget: past it the
+    /// slot retires (failing everything pending once no slot is left),
+    /// otherwise it respawns after backoff.
+    fn retire_or_respawn(&mut self, w: usize) {
+        if self.slots[w].deaths > self.opts.max_restarts {
+            self.slots[w].retired = true;
+            retire_worker_export(self.registry, &self.fm, w);
+            if self.all_retired() {
+                self.fail_pending("internal", "all workers retired; safe to retry elsewhere");
+            }
+            return;
+        }
         #[allow(clippy::cast_possible_truncation)]
         let attempt = self.slots[w].deaths.min(u64::from(u32::MAX)) as u32;
         let delay = self.spawn_backoff.delay(attempt, &mut self.rng);
-        self.slots[w].respawn_at = Some(now + delay);
+        self.slots[w].respawn_at = Some(Instant::now() + delay);
     }
 
     fn respawn(&mut self, w: usize) {
@@ -1321,18 +1331,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
             // an instant death and keep backing off until the restart
             // budget retires the slot.
             self.slots[w].deaths += 1;
-            if self.slots[w].deaths > self.opts.max_restarts {
-                self.slots[w].retired = true;
-                retire_worker_export(self.registry, &self.fm, w);
-                if self.all_retired() {
-                    self.fail_all_pending();
-                }
-            } else {
-                #[allow(clippy::cast_possible_truncation)]
-                let attempt = self.slots[w].deaths.min(u64::from(u32::MAX)) as u32;
-                let delay = self.spawn_backoff.delay(attempt, &mut self.rng);
-                self.slots[w].respawn_at = Some(Instant::now() + delay);
-            }
+            self.retire_or_respawn(w);
         }
     }
 
@@ -1367,8 +1366,7 @@ impl<'a, W: Write> FleetCore<'a, W> {
                     // Grow is best-effort at runtime: the slot stays
                     // down and the respawn path keeps trying.
                     self.slots[w].deaths = 1;
-                    self.slots[w].respawn_at =
-                        Some(Instant::now() + self.spawn_backoff.delay(1, &mut self.rng));
+                    self.retire_or_respawn(w);
                 }
             }
         } else if n < was {
@@ -1378,16 +1376,12 @@ impl<'a, W: Write> FleetCore<'a, W> {
             for w in n..was {
                 self.slots[w].draining = true;
                 self.slots[w].respawn_at = None;
-                for strm in self.router.worker_down(w) {
-                    let queue = self.parked.release(strm);
-                    for seq in queue {
-                        self.dispatch(seq);
-                    }
-                }
+                let released = self.router.worker_down(w);
+                self.release_streams(released);
             }
             self.router.resize(n);
             for w in n..was {
-                if self.slots[w].child.is_none() {
+                if self.slots[w].conn.is_none() {
                     // Already dead — nothing to drain.
                     self.slots[w].draining = false;
                     self.slots[w].retired = true;
@@ -1397,257 +1391,64 @@ impl<'a, W: Write> FleetCore<'a, W> {
                 }
             }
         }
-        emit(self.out, &ResizeAck { status: "resized".to_string(), id, fleet: n, was });
+        respond(self.out, &ResizeAck { status: "resized".to_string(), id, fleet: n, was }).ok();
     }
 
-    /// Every live slot is retired: nothing can ever be dispatched again.
-    fn fail_all_pending(&mut self) {
+    /// Answer everything still pending with a retryable `class` error:
+    /// every slot retired (`internal`), or the post-EOF drain timed out
+    /// (`shutdown`).
+    fn fail_pending(&mut self, class: &str, error: &str) {
         self.pen.clear();
         self.retries.clear();
         self.parked = ParkedQueues::new();
         for e in self.pending.drain_all() {
-            self.metrics.internal_errors.inc();
-            #[allow(clippy::cast_possible_truncation)]
-            self.metrics
-                .observe_e2e("internal", (e.job.arrived.elapsed().as_micros() as u64).max(1));
-            if let Some(obs) = &mut self.obs {
-                obs.finish(e.seq, e.job.arrived);
-            }
-            respond(
-                self.out,
-                &ServeResponse::Error {
-                    id: e.job.id,
-                    class: "internal".to_string(),
-                    error: "all fleet workers retired; safe to retry elsewhere".to_string(),
-                },
-            )
-            .ok();
+            self.answer_error(e.seq, e.job, class, false, error.to_string());
         }
     }
 
-    /// Drain-timeout at shutdown: answer what's left as retryable.
-    fn flush_shutdown(&mut self) {
-        self.pen.clear();
-        self.retries.clear();
-        self.parked = ParkedQueues::new();
-        for e in self.pending.drain_all() {
-            self.fm.shutdown_answers.inc();
-            #[allow(clippy::cast_possible_truncation)]
-            self.metrics
-                .observe_e2e("shutdown", (e.job.arrived.elapsed().as_micros() as u64).max(1));
-            if let Some(obs) = &mut self.obs {
-                obs.finish(e.seq, e.job.arrived);
-            }
-            respond(
-                self.out,
-                &ServeResponse::Error {
-                    id: e.job.id,
-                    class: "shutdown".to_string(),
-                    error: "front-end shutting down before the request was answered; \
-                            safe to retry"
-                        .to_string(),
-                },
-            )
-            .ok();
-        }
-    }
-
-    /// Close every worker's stdin, give them a bounded window to drain
-    /// and exit cleanly, then force the stragglers and join the readers.
+    /// Close every worker's input, give them a bounded window to drain
+    /// and exit cleanly, then force the stragglers.
     fn shutdown(&mut self) {
         for slot in &mut self.slots {
-            slot.stdin = None;
             slot.respawn_at = None;
+            if let Some(conn) = slot.conn.as_mut() {
+                conn.close();
+            }
         }
         let deadline = Instant::now()
             + Duration::from_millis(self.opts.drain_timeout_ms.saturating_add(500));
         loop {
-            let mut alive = false;
-            for slot in &mut self.slots {
-                if let Some(child) = slot.child.as_mut() {
-                    match child.try_wait() {
-                        Ok(Some(_)) | Err(_) => slot.child = None,
-                        Ok(None) => alive = true,
-                    }
-                }
-            }
+            let alive = self.slots.iter_mut().any(|slot| match slot.conn.as_mut() {
+                Some(Conn::Process { child, .. }) => matches!(child.try_wait(), Ok(None)),
+                Some(Conn::Thread { handle, .. }) => !handle.is_finished(),
+                None => false,
+            });
             if !alive || Instant::now() >= deadline {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(1));
         }
         for (w, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            // Safe to join: the child is dead, so the pipe is at EOF.
-            if let Some(h) = slot.reader.take() {
-                let _ = h.join();
+            match slot.conn.take() {
+                Some(Conn::Process { mut child, reader, .. }) => {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    // Safe to join: the child is dead, so the pipe is at EOF.
+                    let _ = reader.join();
+                }
+                Some(Conn::Thread { handle, .. }) if handle.is_finished() => {
+                    let _ = handle.join();
+                }
+                // A thread cannot be killed: one still working through
+                // its channel past the drain window is detached, its
+                // answers unread (everything pending is answered).
+                Some(Conn::Thread { .. }) | None => {}
             }
             if w < self.fm.per_worker.len() {
                 self.fm.per_worker[w].up.set(0.0);
             }
         }
     }
-}
-
-/// Parse stdin lines into admission and control events. Parse and
-/// problem errors are answered inline, exactly like single-process
-/// serve; unknown control lines get `class:"control"`.
-fn fleet_reader_loop<R: BufRead, W: Write>(
-    mut input: R,
-    tx: &Sender<Event>,
-    out: &Mutex<W>,
-    metrics: &ServeMetrics,
-    opts: &FleetOpts,
-) -> std::io::Result<()> {
-    let mut buf = Vec::new();
-    loop {
-        match read_bounded_line(&mut input, &mut buf, opts.max_line_bytes)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::Oversized => {
-                metrics.received.inc();
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: format!(
-                            "request line exceeds the {} byte cap (--max-line-bytes)",
-                            opts.max_line_bytes
-                        ),
-                    },
-                )?;
-                continue;
-            }
-            LineRead::Line => {}
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request stream is not valid UTF-8",
-            ));
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        metrics.received.inc();
-        let value = match serde_json::from_str::<serde_json::Value>(line) {
-            Err(e) => {
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: e.to_string(),
-                    },
-                )?;
-                continue;
-            }
-            Ok(v) => v,
-        };
-        if let Some(control) = value.get("control") {
-            let id = value.get("id").cloned().unwrap_or(serde_json::Value::Null);
-            let fleet = value.get("fleet").and_then(serde_json::Value::as_u64);
-            match (control.as_str(), fleet) {
-                (Some("resize"), Some(n)) if n >= 1 => {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let workers = n as usize;
-                    if tx.send(Event::Resize { workers, id }).is_err() {
-                        return Ok(());
-                    }
-                }
-                _ => {
-                    metrics.parse_errors.inc();
-                    respond(
-                        out,
-                        &ServeResponse::Error {
-                            id,
-                            class: "control".to_string(),
-                            error: "unsupported control line; expected \
-                                    {\"control\":\"resize\",\"fleet\":N} with N >= 1"
-                                .to_string(),
-                        },
-                    )?;
-                }
-            }
-            continue;
-        }
-        let req = match <ServeRequest as Deserialize>::from_value(&value) {
-            Err(e) => {
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: e,
-                    },
-                )?;
-                continue;
-            }
-            Ok(req) => req,
-        };
-        // Validate up front so `class:"problem"` answers don't burn a
-        // round trip to a worker (parity with single-process serve).
-        if let Err(e) = build_problem(&req.problem) {
-            metrics.solve_errors.inc();
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id: req.id,
-                    class: "problem".to_string(),
-                    error: e.to_string(),
-                },
-            )?;
-            continue;
-        }
-        let admit = Admit {
-            id: req.id,
-            stream: req.stream,
-            deadline_ms: req.deadline_ms.or(opts.default_deadline_ms),
-            arrived: Instant::now(),
-            problem: req.problem,
-        };
-        if tx.send(Event::Admit(Box::new(admit))).is_err() {
-            return Ok(());
-        }
-    }
-}
-
-/// Run the fleet request loop until `input` reaches EOF, then drain
-/// (bounded by `drain_timeout_ms`) and return the session counters.
-/// Spawn failure at startup is [`CliError::WorkerSpawn`] (exit code 9).
-///
-/// All accounting flows through `registry`: the same `aa_serve_*` family
-/// as single-process serve for request-level counts, plus the
-/// front-end's `aa_fleet_*` route/retry/handoff counters and the
-/// per-worker `aa_fleet_*{worker=…}` series.
-pub fn run_fleet_serve<R: BufRead, W: Write + Send>(
-    input: R,
-    output: W,
-    opts: &FleetOpts,
-    registry: &aa_obs::Registry,
-) -> Result<ServeCounters, CliError> {
-    let out = Mutex::new(output);
-    let metrics = ServeMetrics::with_slo_target(
-        registry,
-        opts.slo_p99_ms.unwrap_or(DEFAULT_SLO_P99_MS).saturating_mul(1000),
-    );
-    let (tx, rx) = mpsc::channel::<Event>();
-    std::thread::scope(|s| -> Result<(), CliError> {
-        let core = FleetCore::new(opts, registry, &out, &metrics, tx.clone())?;
-        let event_loop = s.spawn(move || core.run(&rx));
-        let read_result = fleet_reader_loop(input, &tx, &out, &metrics, opts);
-        let _ = tx.send(Event::Eof);
-        drop(tx);
-        event_loop.join().expect("fleet event loop does not panic");
-        read_result.map_err(CliError::Io)
-    })?;
-    Ok(metrics.snapshot())
 }
 
 // ---------------------------------------------------------------------------
@@ -1827,17 +1628,17 @@ fn chaos_ladder() -> Vec<Tier> {
     vec![Tier::Algo2, Tier::Uu]
 }
 
-/// Drive a real multi-process fleet through a seeded fault storm and
-/// fold the observations into the deterministic verdict.
+/// Drive the real front-end through a seeded fault storm and fold the
+/// observations into the deterministic verdict.
 ///
 /// The front-end runs in-process (sharing a private metrics registry
-/// with the driver); the workers are genuine child processes re-execed
-/// from the current binary, so kills, stalls, and garbage frames
-/// exercise the real pipes-and-supervision path. Call this from the
-/// `aa-solve` binary only — a foreign `current_exe` has no
-/// `serve-worker` mode.
-pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliError> {
-    let plan = ProcessChaosPlan::from_config(cfg);
+/// with the driver) over `link`: solver threads, or genuine child
+/// processes re-execed from the current binary, so kills, stalls, and
+/// garbage frames exercise the real supervision path of either link.
+/// With [`Link::Process`], call this from the `aa-solve` binary only — a
+/// foreign `current_exe` has no `serve-worker` mode.
+pub fn run_fleet_chaos(cfg: &FleetChaosConfig, link: Link) -> Result<FleetChaosReport, CliError> {
+    let plan = FleetChaosPlan::from_config(cfg);
     let streams = balanced_streams(cfg.workers, cfg.streams_per_worker);
     let files: Vec<ProblemFile> = streams.iter().map(|&s| stream_problem(cfg.seed, s)).collect();
 
@@ -1852,7 +1653,8 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
         reference_bits.insert(stream, solve.utility.to_bits());
     }
 
-    let opts = FleetOpts {
+    let opts = ServeOpts {
+        link,
         workers: cfg.workers,
         queue: streams.len().max(4),
         // Tight heartbeats so scheduled stalls (stall_millis, default
@@ -1868,7 +1670,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
         seed: cfg.seed,
         slo_p99_ms: Some((cfg.slo_p99_micros / 1000).max(1)),
         chaos: Some(plan.clone()),
-        ..FleetOpts::default()
+        ..ServeOpts::default()
     };
     let registry = aa_obs::Registry::new();
     let (tx_in, rx_in) = mpsc::channel::<String>();
@@ -1883,7 +1685,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
 
     let serve_result = std::thread::scope(|s| {
         let handle = s.spawn(|| {
-            run_fleet_serve(LineSource::new(rx_in), LineSink::new(tx_out), &opts, &registry)
+            run_serve(LineSource::new(rx_in), LineSink::new(tx_out), &opts, &registry)
         });
 
         let send_round =
@@ -1997,7 +1799,6 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> Result<FleetChaosReport, CliEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aa_sim::ProcessFault;
 
     #[test]
     fn ladders_parse_by_stable_names() {
@@ -2016,12 +1817,12 @@ mod tests {
 
     #[test]
     fn worker_args_carry_ladder_and_chaos_schedule() {
-        let plan = ProcessChaosPlan { faults: vec![vec![(5, ProcessFault::Kill)], vec![]] };
-        let opts = FleetOpts {
+        let plan = FleetChaosPlan { faults: vec![vec![(5, Fault::Kill)], vec![]] };
+        let opts = ServeOpts {
             workers: 2,
             ladder: Some(vec![Tier::Algo2, Tier::Uu]),
             chaos: Some(plan),
-            ..FleetOpts::default()
+            ..ServeOpts::default()
         };
         let args = worker_args(&opts, 0, 5);
         assert_eq!(args[0], "serve-worker");
@@ -2029,9 +1830,9 @@ mod tests {
         assert_eq!(args[ladder_at + 1], "algo2,uu");
         assert_eq!(parse_ladder(&args[ladder_at + 1]).unwrap(), vec![Tier::Algo2, Tier::Uu]);
         let faults_at = args.iter().position(|a| a == "--chaos-faults").expect("chaos flag");
-        let parsed: Vec<(u64, ProcessFault)> =
+        let parsed: Vec<(u64, Fault)> =
             serde_json::from_str(&args[faults_at + 1]).expect("schedule round-trips");
-        assert_eq!(parsed, vec![(5, ProcessFault::Kill)]);
+        assert_eq!(parsed, vec![(5, Fault::Kill)]);
         let off_at = args.iter().position(|a| a == "--chaos-offset").expect("offset flag");
         assert_eq!(args[off_at + 1], "5");
 
@@ -2040,12 +1841,12 @@ mod tests {
         assert!(!args1.iter().any(|a| a == "--chaos-faults"));
         // No chaos configured: plain argv, and no span shipping unless
         // the front-end is tracing.
-        let plain = worker_args(&FleetOpts::default(), 0, 0);
+        let plain = worker_args(&ServeOpts::default(), 0, 0);
         assert!(!plain
             .iter()
             .any(|a| a == "--chaos-faults" || a == "--ladder" || a == "--obs-spans"));
         let traced = worker_args(
-            &FleetOpts { trace: Some(PathBuf::from("t.json")), ..FleetOpts::default() },
+            &ServeOpts { trace: Some(PathBuf::from("t.json")), ..ServeOpts::default() },
             0,
             0,
         );

@@ -2,14 +2,15 @@
 
 use std::process::ExitCode;
 
-use aa_cli::fleet::{parse_ladder, run_fleet_chaos, run_fleet_serve, FleetOpts};
-use aa_cli::serve::{run_serve, ServeOpts};
+use aa_cli::fleet::{parse_ladder, run_fleet_chaos};
+use aa_cli::serve::{run_serve, Link, ServeOpts};
 use aa_cli::worker::{run_worker, WorkerOpts};
 use aa_cli::{bench_document, churn_document, generate_document, solve_document, BenchMode,
              BenchOpts, ChurnOpts, CliError, GenerateOpts, SOLVER_NAMES};
 use aa_sim::controller::RepairPolicy;
 use aa_sim::faults::FaultScriptConfig;
-use aa_sim::{ChaosConfig, FleetChaosConfig, ProcessFault};
+use aa_core::shard::{Fault, ShardConfig};
+use aa_sim::FleetChaosConfig;
 use aa_workloads::Distribution;
 
 const USAGE: &str = "\
@@ -31,12 +32,13 @@ usage:
                  [--max-line-bytes B] [--counters PATH]
                  [--metrics-addr HOST:PORT] [--metrics-dump PATH]
                  [--slo-p99-ms P] [--trace out.json]
-                 fleet only: [--heartbeat-ms H] [--heartbeat-miss K]
                  [--max-retries R] [--max-restarts N] [--drain-timeout-ms D]
                  [--max-streams N] [--ladder exact-bb,algo2-refined,algo2,uu]
-                 [--seed S] [--worker-cmd PATH]
-  aa-solve chaos [--shards N] [--rounds N] [--kills N]
-                 [--streams-per-shard N] [--seed S] [--out PATH] [--pretty]
+                 [--seed S]
+                 --fleet only: [--heartbeat-ms H] [--heartbeat-miss K]
+                 [--worker-cmd PATH]
+  aa-solve chaos [--shards N] [--streams-per-shard N] [--rounds N]
+                 [--kills N] [--seed S] [--out PATH] [--pretty]
   aa-solve chaos --fleet [--workers N] [--streams-per-worker N] [--rounds N]
                  [--kills N] [--stalls N] [--garbage N] [--stall-millis MS]
                  [--seed S] [--out PATH] [--pretty]
@@ -46,54 +48,53 @@ global flags (any command):
   --log-format pretty|json   stderr diagnostics format (default pretty)
 
 serve reads LDJSON requests {\"id\":…, \"stream\":…, \"deadline_ms\":…,
-\"problem\":{…}} on stdin and writes one response per line on stdout;
-requests beyond the admission queue are shed with
-{\"status\":\"overloaded\",\"retry_after_ms\":…}. --shards N runs N
-crash-isolated worker shards under a supervisor: requests sharing a
-\"stream\" key route to a fixed shard (warm incremental state), a
-panicking solve answers {\"status\":\"error\",\"class\":\"solve_panic\"}
-and a dead shard is restarted with backoff while its queue drains as
-\"internal\" errors. Lines beyond --max-line-bytes (default 1 MiB) are
-answered with a \"parse\" error. Counters are dumped to stderr (and
---counters PATH as JSON) at EOF. --metrics-addr serves GET /metrics
-(Prometheus text) and /metrics.json while the loop runs; --metrics-dump
-writes the JSON snapshot at EOF.
---fleet N replaces the in-process shards with N worker *processes*
-(this binary re-execed in a hidden serve-worker mode) supervised over
-stdin/stdout pipes: heartbeats every --heartbeat-ms (dead after
---heartbeat-miss silent rounds), crashed workers restart with backoff
-(retired after --max-restarts) while their in-flight requests replay on
-survivors (up to --max-retries dispatches each, then a retryable
-\"internal\" error; answers are exactly-once throughout). A control
-line {\"control\":\"resize\",\"fleet\":N} resizes the fleet live —
-removed workers drain in-flight work before exiting, and their ring
-ranges hand off to the survivors. On stdin EOF the fleet drains for
+\"problem\":{…}} on stdin and writes one response per line on stdout.
+One supervisor routes every request to a worker: one solver thread by
+default, N threads with --shards N, or N worker *processes* (this
+binary re-execed in a hidden serve-worker mode, speaking frames over
+stdin/stdout pipes, heartbeat every --heartbeat-ms and dead after
+--heartbeat-miss silent rounds) with --fleet N. Requests sharing a
+\"stream\" key route to a fixed worker on a consistent-hash ring (warm
+incremental state); a panicking solve answers {\"status\":\"error\",
+\"class\":\"solve_panic\"} and the worker keeps serving. A dead worker
+restarts with backoff (retired after --max-restarts) while its
+in-flight and queued requests replay on survivors (up to --max-retries
+dispatches each, then a retryable \"internal\" error; answers are
+exactly-once throughout). Requests beyond --queue per worker are shed
+with {\"status\":\"overloaded\",\"retry_after_ms\":…}; lines beyond
+--max-line-bytes (default 1 MiB) are answered with a \"parse\" error.
+ok responses carry \"worker\", \"attempts\" and \"solve_micros\". A
+control line {\"control\":\"resize\",\"fleet\":N} resizes the worker
+set live — removed workers drain in-flight work before exiting, and
+their ring ranges hand off to the survivors; bad control lines are
+answered with class \"control\". On stdin EOF serve drains for
 --drain-timeout-ms, then answers the remainder with retryable
-\"shutdown\" errors. ok responses gain \"worker\", \"attempts\", and
-\"solve_micros\" fields; bad control lines are answered with class
-\"control\". Fleet metrics appear as aa_fleet_* series (per-worker
-series labeled {worker=…}); each worker also federates its own
-registry to the front-end over heartbeats, so /metrics re-exports
-worker series with a worker= label plus a worker=\"fleet\" merged
-aggregate. --slo-p99-ms P (default 100) sets the end-to-end p99
+\"shutdown\" errors. Counters are dumped to stderr (and --counters PATH
+as JSON) at EOF. --metrics-addr serves GET /metrics (Prometheus text)
+and /metrics.json while the loop runs; --metrics-dump writes the JSON
+snapshot at EOF. Request counts are aa_serve_* series, supervision is
+aa_fleet_* (per-worker series labeled {worker=…}); worker processes
+also federate their own registries over heartbeats, so /metrics
+re-exports worker series with a worker= label plus a worker=\"fleet\"
+merged aggregate. --slo-p99-ms P (default 100) sets the end-to-end p99
 latency objective tracked by the aa_slo_* series: per-class
 aa_slo_e2e_micros histograms plus an error-budget burn rate
-(aa_slo_burn_rate, 1.0 = burning exactly the 1% budget). serve
---fleet --trace writes a *merged* Chrome trace at EOF: workers batch
-their pipeline spans over the control pipe and the front-end stitches
-them — clock-aligned, one lane per worker pid — under its own
-per-request admission/queue/dispatch spans, so each request shows one
-end-to-end timeline across processes.
-chaos runs the seeded kill/stall/panic storm from aa-sim against a real
-shard pool (every shard killed --kills times) and prints the chaos
-report as JSON; it exits nonzero unless every robustness invariant held
-(no request lost or duplicated, every shard restarted, warm latency
-recovered). chaos --fleet runs the process-level storm instead: real
+(aa_slo_burn_rate, 1.0 = burning exactly the 1% budget). serve --trace
+writes a Chrome trace at EOF with a request span per admission; worker
+processes batch their pipeline spans over the control pipe and the
+front-end stitches them — clock-aligned, one lane per worker pid —
+under its per-request spans, so each request shows one end-to-end
+timeline across processes.
+chaos runs a seeded storm against the real serve front-end and prints
+the chaos report as JSON; it exits nonzero unless every robustness
+invariant held: no request lost or duplicated, every request answered
+ok and bit-identical to a single-process reference, every worker
+restarted on schedule, streams rebalanced back to their ring owners,
+warm latency recovered. chaos --shards N kills each of N worker threads
+--kills times; chaos --fleet runs the process-level storm instead: real
 worker processes take --kills SIGKILLs, --stalls heartbeat stalls of
 --stall-millis, and --garbage corrupt-frame injections at seeded
-per-worker solve counts; the gate additionally requires byte-exact
-rebalance back to ring owners and solve outputs bit-identical to a
-single-process reference. Same seed, same report, byte for byte.
+per-worker solve counts. Same seed, same report, byte for byte.
 --trace records the solve pipeline's spans and writes a Chrome
 trace_event file (open at chrome://tracing or ui.perfetto.dev).
 
@@ -453,37 +454,61 @@ fn cmd_bench(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
+/// Parse an optional numeric flag: `None` when absent.
+fn optional_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Failure>
+where
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, flag)?
+        .map(|raw| raw.parse().map_err(|e| Failure::Usage(format!("bad {flag}: {e}"))))
+        .transpose()
+}
+
+/// `serve`, `serve --shards N`, `serve --fleet N`: one front-end over
+/// thread or process worker links.
 fn cmd_serve(args: &[String]) -> Result<(), Failure> {
-    if flag_value(args, "--fleet")?.is_some() {
-        return cmd_fleet_serve(args);
-    }
     let defaults = ServeOpts::default();
+    let (link, workers) = match (optional_flag(args, "--shards")?, optional_flag(args, "--fleet")?) {
+        (Some(_), Some(_)) => {
+            return Err(Failure::Usage("--shards and --fleet are mutually exclusive".into()))
+        }
+        (Some(n), None) => (Link::Thread, n),
+        (None, Some(n)) => (Link::Process, n),
+        (None, None) => (Link::Thread, defaults.workers),
+    };
+    if workers == 0 {
+        return Err(Failure::Usage("serve needs at least 1 worker".into()));
+    }
+    let ladder = match flag_value(args, "--ladder")? {
+        None => None,
+        Some(raw) => Some(parse_ladder(raw).map_err(|e| Failure::Usage(format!("bad --ladder: {e}")))?),
+    };
     let opts = ServeOpts {
+        link,
+        workers,
         queue: parsed_flag(args, "--queue", defaults.queue)?,
-        default_deadline_ms: match flag_value(args, "--deadline-ms")? {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| Failure::Usage(format!("bad --deadline-ms: {e}")))?,
-            ),
-        },
+        default_deadline_ms: optional_flag(args, "--deadline-ms")?,
         grace_ms: parsed_flag(args, "--grace-ms", defaults.grace_ms)?,
+        max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes)?,
+        heartbeat_ms: parsed_flag(args, "--heartbeat-ms", defaults.heartbeat_ms)?,
+        heartbeat_miss_limit: parsed_flag(args, "--heartbeat-miss", defaults.heartbeat_miss_limit)?,
+        max_retries: parsed_flag(args, "--max-retries", defaults.max_retries)?,
+        max_restarts: parsed_flag(args, "--max-restarts", defaults.max_restarts)?,
+        drain_timeout_ms: parsed_flag(args, "--drain-timeout-ms", defaults.drain_timeout_ms)?,
+        max_streams: parsed_flag(args, "--max-streams", defaults.max_streams)?,
         breaker_threshold: parsed_flag(args, "--breaker", defaults.breaker_threshold)?,
         breaker_cooldown: parsed_flag(args, "--cooldown", defaults.breaker_cooldown)?,
-        shards: parsed_flag(args, "--shards", defaults.shards)?,
-        max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes)?,
-        slo_p99_ms: match flag_value(args, "--slo-p99-ms")? {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| Failure::Usage(format!("bad --slo-p99-ms: {e}")))?,
-            ),
-        },
+        ladder,
+        seed: parsed_flag(args, "--seed", defaults.seed)?,
+        // The front-end records request spans and writes the trace
+        // itself at shutdown (merging worker processes' lanes).
+        trace: flag_value(args, "--trace")?.map(std::path::PathBuf::from),
+        slo_p99_ms: optional_flag(args, "--slo-p99-ms")?,
+        worker_cmd: flag_value(args, "--worker-cmd")?.map(std::path::PathBuf::from),
         chaos: None,
     };
     let counters_path = flag_value(args, "--counters")?;
     let metrics_dump = flag_value(args, "--metrics-dump")?;
-    let trace_path = trace_flag(args)?;
     let registry = aa_obs::global();
     if let Some(addr) = flag_value(args, "--metrics-addr")? {
         let local = aa_obs::export::spawn_metrics_server(addr, registry).map_err(|e| {
@@ -500,7 +525,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
     aa_obs::obs_info!(
         "serve",
         "serve: received={} solved={} shed={} expired_in_queue={} parse_errors={} \
-         solve_errors={} solve_panics={} internal_errors={} deadline_misses={}",
+         solve_errors={} solve_panics={} internal_errors={} deadline_misses={} workers={}",
         counters.received,
         counters.solved,
         counters.shed,
@@ -509,7 +534,8 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
         counters.solve_errors,
         counters.solve_panics,
         counters.internal_errors,
-        counters.deadline_misses
+        counters.deadline_misses,
+        opts.workers
     );
     for (tier, c) in &counters.per_tier {
         let mean_ms = if c.answered > 0 {
@@ -524,93 +550,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
             c.max_micros as f64 / 1e3
         );
     }
-    if let Some(path) = counters_path {
-        write_file(path, &to_json(&counters, true)?)?;
-    }
-    if let Some(path) = metrics_dump {
-        write_file(path, &aa_obs::export::json_snapshot(registry))?;
-    }
-    write_trace(trace_path)?;
-    Ok(())
-}
-
-/// `serve --fleet N`: the multi-process front-end.
-fn cmd_fleet_serve(args: &[String]) -> Result<(), Failure> {
-    let defaults = FleetOpts::default();
-    let workers: usize = parsed_flag(args, "--fleet", defaults.workers)?;
-    if workers == 0 {
-        return Err(Failure::Usage("--fleet needs at least 1 worker".into()));
-    }
-    let ladder = match flag_value(args, "--ladder")? {
-        None => None,
-        Some(raw) => Some(parse_ladder(raw).map_err(|e| Failure::Usage(format!("bad --ladder: {e}")))?),
-    };
-    let opts = FleetOpts {
-        workers,
-        queue: parsed_flag(args, "--queue", defaults.queue)?,
-        default_deadline_ms: match flag_value(args, "--deadline-ms")? {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| Failure::Usage(format!("bad --deadline-ms: {e}")))?,
-            ),
-        },
-        grace_ms: parsed_flag(args, "--grace-ms", defaults.grace_ms)?,
-        max_line_bytes: parsed_flag(args, "--max-line-bytes", defaults.max_line_bytes)?,
-        heartbeat_ms: parsed_flag(args, "--heartbeat-ms", defaults.heartbeat_ms)?,
-        heartbeat_miss_limit: parsed_flag(args, "--heartbeat-miss", defaults.heartbeat_miss_limit)?,
-        max_retries: parsed_flag(args, "--max-retries", defaults.max_retries)?,
-        max_restarts: parsed_flag(args, "--max-restarts", defaults.max_restarts)?,
-        drain_timeout_ms: parsed_flag(args, "--drain-timeout-ms", defaults.drain_timeout_ms)?,
-        max_streams: parsed_flag(args, "--max-streams", defaults.max_streams)?,
-        breaker_threshold: parsed_flag(args, "--breaker", defaults.breaker_threshold)?,
-        breaker_cooldown: parsed_flag(args, "--cooldown", defaults.breaker_cooldown)?,
-        ladder,
-        seed: parsed_flag(args, "--seed", defaults.seed)?,
-        worker_cmd: flag_value(args, "--worker-cmd")?.map(std::path::PathBuf::from),
-        // The fleet front-end merges worker span batches and writes the
-        // trace itself at shutdown; the single-process write_trace path
-        // must stay out of the way here.
-        trace: flag_value(args, "--trace")?.map(std::path::PathBuf::from),
-        slo_p99_ms: match flag_value(args, "--slo-p99-ms")? {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|e| Failure::Usage(format!("bad --slo-p99-ms: {e}")))?,
-            ),
-        },
-        chaos: None,
-    };
-    let counters_path = flag_value(args, "--counters")?;
-    let metrics_dump = flag_value(args, "--metrics-dump")?;
-    let registry = aa_obs::global();
-    if let Some(addr) = flag_value(args, "--metrics-addr")? {
-        let local = aa_obs::export::spawn_metrics_server(addr, registry).map_err(|e| {
-            Failure::App(CliError::MetricsBind(std::io::Error::new(
-                e.kind(),
-                format!("{addr}: {e}"),
-            )))
-        })?;
-        aa_obs::obs_info!("serve", "metrics: http://{local}/metrics");
-    }
-
-    let counters = run_fleet_serve(std::io::stdin().lock(), std::io::stdout(), &opts, registry)?;
-
-    aa_obs::obs_info!(
-        "serve",
-        "fleet: workers={} received={} solved={} shed={} expired_in_queue={} parse_errors={} \
-         solve_errors={} solve_panics={} internal_errors={} deadline_misses={}",
-        opts.workers,
-        counters.received,
-        counters.solved,
-        counters.shed,
-        counters.expired_in_queue,
-        counters.parse_errors,
-        counters.solve_errors,
-        counters.solve_panics,
-        counters.internal_errors,
-        counters.deadline_misses
-    );
     if let Some(path) = counters_path {
         write_file(path, &to_json(&counters, true)?)?;
     }
@@ -632,7 +571,7 @@ fn cmd_serve_worker(args: &[String]) -> Result<(), Failure> {
     let chaos = match flag_value(args, "--chaos-faults")? {
         None => None,
         Some(raw) => {
-            let faults: Vec<(u64, ProcessFault)> = serde_json::from_str(raw)
+            let faults: Vec<(u64, Fault)> = serde_json::from_str(raw)
                 .map_err(|e| Failure::Usage(format!("bad --chaos-faults: {e}")))?;
             let offset: u64 = parsed_flag(args, "--chaos-offset", 0)?;
             Some((faults, offset))
@@ -640,10 +579,21 @@ fn cmd_serve_worker(args: &[String]) -> Result<(), Failure> {
     };
     let opts = WorkerOpts {
         index: parsed_flag(args, "--index", defaults.index)?,
-        max_streams: parsed_flag(args, "--max-streams", defaults.max_streams)?,
-        breaker_threshold: parsed_flag(args, "--breaker-threshold", defaults.breaker_threshold)?,
-        breaker_cooldown: parsed_flag(args, "--breaker-cooldown", defaults.breaker_cooldown)?,
-        ladder,
+        shard: ShardConfig {
+            max_streams: parsed_flag(args, "--max-streams", defaults.shard.max_streams)?,
+            breaker_threshold: parsed_flag(
+                args,
+                "--breaker-threshold",
+                defaults.shard.breaker_threshold,
+            )?,
+            breaker_cooldown: parsed_flag(
+                args,
+                "--breaker-cooldown",
+                defaults.shard.breaker_cooldown,
+            )?,
+            ladder,
+            ..ShardConfig::default()
+        },
         drain_timeout_ms: parsed_flag(args, "--drain-timeout-ms", defaults.drain_timeout_ms)?,
         trace_spans: args.iter().any(|a| a == "--obs-spans"),
         chaos,
@@ -652,91 +602,54 @@ fn cmd_serve_worker(args: &[String]) -> Result<(), Failure> {
         .map_err(|e| Failure::App(CliError::Io(e)))
 }
 
-/// Run the deterministic chaos storm from `aa-sim` against a real shard
-/// pool and gate on its robustness invariants. The report prints to
-/// stdout (and `--out PATH`) whether or not the gate passes, so CI can
-/// always archive it.
+/// `chaos --shards N` / `chaos --fleet`: the seeded storm against the
+/// real serve front-end over thread or process links. Gates on the
+/// invariants of [`aa_sim::FleetChaosReport::healthy`]. The report is
+/// deterministic (same seed, same bytes) and prints to stdout (and
+/// `--out PATH`) whether or not the gate passes, so CI can always
+/// archive it.
 fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
-    if args.iter().any(|a| a == "--fleet") {
-        return cmd_fleet_chaos(args);
-    }
-    let defaults = ChaosConfig::default();
-    let cfg = ChaosConfig {
-        shards: parsed_flag(args, "--shards", defaults.shards)?,
-        streams_per_shard: parsed_flag(args, "--streams-per-shard", defaults.streams_per_shard)?,
-        rounds: parsed_flag(args, "--rounds", defaults.rounds)?,
-        kills_per_shard: parsed_flag(args, "--kills", defaults.kills_per_shard)?,
-        seed: parsed_flag(args, "--seed", defaults.seed)?,
-        ..defaults
-    };
-    if cfg.shards == 0 || cfg.rounds == 0 || cfg.streams_per_shard == 0 {
-        return Err(Failure::Usage(
-            "chaos needs --shards, --rounds, and --streams-per-shard >= 1".into(),
-        ));
-    }
-    let report = aa_sim::run_chaos(&cfg);
-    let json = to_json(&report, args.iter().any(|a| a == "--pretty"))?;
-    println!("{json}");
-    if let Some(path) = flag_value(args, "--out")? {
-        write_file(path, &json)?;
-    }
-    aa_obs::obs_info!(
-        "chaos",
-        "chaos: admitted={} completed={} ok={} crashed={} drained={} solve_panics={} \
-         restarts={:?} live_shards={}/{} exactly_once={} survived={}",
-        report.admitted,
-        report.completed,
-        report.ok,
-        report.crashed,
-        report.drained,
-        report.solve_panics,
-        report.restarts,
-        report.live_shards,
-        cfg.shards,
-        report.exactly_once,
-        report.survived
-    );
-    if !report.healthy() {
-        return Err(Failure::App(CliError::Churn(format!(
-            "chaos invariants violated: exactly_once={} survived={} live_shards={}/{} \
-             restarts={:?} unrecovered_streams={}",
-            report.exactly_once,
-            report.survived,
-            report.live_shards,
-            cfg.shards,
-            report.restarts,
-            report.recoveries.iter().filter(|r| !r.recovered).count()
-        ))));
-    }
-    Ok(())
-}
-
-/// `chaos --fleet`: the process-level storm against a real fleet
-/// (worker processes re-execed from this binary). Gates on the fleet
-/// invariants: exactly-once, scheduled restarts, rebalance back to ring
-/// owners, and solve outputs bit-identical to a single-process
-/// reference. The report is deterministic: same seed, same bytes.
-fn cmd_fleet_chaos(args: &[String]) -> Result<(), Failure> {
     let defaults = FleetChaosConfig::default();
-    let cfg = FleetChaosConfig {
-        workers: parsed_flag(args, "--workers", defaults.workers)?,
-        streams_per_worker: parsed_flag(args, "--streams-per-worker", defaults.streams_per_worker)?,
-        rounds: parsed_flag(args, "--rounds", defaults.rounds)?,
-        kills: parsed_flag(args, "--kills", defaults.kills)?,
-        stalls: parsed_flag(args, "--stalls", defaults.stalls)?,
-        garbage: parsed_flag(args, "--garbage", defaults.garbage)?,
-        stall_millis: parsed_flag(args, "--stall-millis", defaults.stall_millis)?,
-        seed: parsed_flag(args, "--seed", defaults.seed)?,
-        slo_p99_micros: parsed_flag(args, "--slo-p99-ms", defaults.slo_p99_micros / 1000)?
-            .saturating_mul(1000)
-            .max(1),
+    let common = |workers: usize, streams_flag: &str| -> Result<FleetChaosConfig, Failure> {
+        Ok(FleetChaosConfig {
+            workers,
+            streams_per_worker: parsed_flag(args, streams_flag, defaults.streams_per_worker)?,
+            rounds: parsed_flag(args, "--rounds", defaults.rounds)?,
+            seed: parsed_flag(args, "--seed", defaults.seed)?,
+            slo_p99_micros: parsed_flag(args, "--slo-p99-ms", defaults.slo_p99_micros / 1000)?
+                .saturating_mul(1000)
+                .max(1),
+            ..defaults.clone()
+        })
+    };
+    let (cfg, link) = if args.iter().any(|a| a == "--fleet") {
+        let cfg = FleetChaosConfig {
+            kills: parsed_flag(args, "--kills", defaults.kills)?,
+            stalls: parsed_flag(args, "--stalls", defaults.stalls)?,
+            garbage: parsed_flag(args, "--garbage", defaults.garbage)?,
+            stall_millis: parsed_flag(args, "--stall-millis", defaults.stall_millis)?,
+            ..common(parsed_flag(args, "--workers", defaults.workers)?, "--streams-per-worker")?
+        };
+        (cfg, Link::Process)
+    } else {
+        // Threads have no heartbeat to miss, so a thread storm is kills
+        // only: --kills per thread.
+        let shards: usize = parsed_flag(args, "--shards", defaults.workers)?;
+        let kills_per_shard: usize = parsed_flag(args, "--kills", defaults.kills)?;
+        let cfg = FleetChaosConfig {
+            kills: kills_per_shard.saturating_mul(shards),
+            stalls: 0,
+            garbage: 0,
+            ..common(shards, "--streams-per-shard")?
+        };
+        (cfg, Link::Thread)
     };
     if cfg.workers == 0 || cfg.rounds == 0 || cfg.streams_per_worker == 0 {
         return Err(Failure::Usage(
-            "chaos --fleet needs --workers, --rounds, and --streams-per-worker >= 1".into(),
+            "chaos needs at least 1 worker, round, and stream per worker".into(),
         ));
     }
-    let report = run_fleet_chaos(&cfg)?;
+    let report = run_fleet_chaos(&cfg, link)?;
     let json = to_json(&report, args.iter().any(|a| a == "--pretty"))?;
     println!("{json}");
     if let Some(path) = flag_value(args, "--out")? {
@@ -744,7 +657,7 @@ fn cmd_fleet_chaos(args: &[String]) -> Result<(), Failure> {
     }
     aa_obs::obs_info!(
         "chaos",
-        "fleet chaos: admitted={} completed={} ok={} internal={} restarts={:?} \
+        "chaos: admitted={} completed={} ok={} internal={} restarts={:?} \
          exactly_once={} survived={} restarted_on_schedule={} rebalanced={} \
          outputs_identical={} disrupted={} unrecovered={}",
         report.admitted,
@@ -762,15 +675,16 @@ fn cmd_fleet_chaos(args: &[String]) -> Result<(), Failure> {
     );
     if !report.healthy() {
         return Err(Failure::App(CliError::Churn(format!(
-            "fleet chaos invariants violated: exactly_once={} survived={} \
+            "chaos invariants violated: exactly_once={} survived={} \
              restarted_on_schedule={} rebalanced={} outputs_identical={} \
-             all_recovered={} duplicate_seqs={:?} missing_seqs={:?}",
+             all_recovered={} unrecovered_streams={} duplicate_seqs={:?} missing_seqs={:?}",
             report.exactly_once,
             report.survived,
             report.restarted_on_schedule,
             report.rebalanced,
             report.outputs_identical,
             report.all_recovered,
+            report.unrecovered_streams,
             report.duplicate_seqs,
             report.missing_seqs
         ))));

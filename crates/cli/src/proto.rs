@@ -19,6 +19,7 @@
 //! unparseable JSON — is a protocol violation and the front-end treats
 //! the worker exactly as if it had crashed.
 
+use aa_core::shard::ShardCompletion;
 use serde::{Deserialize, Serialize};
 
 use crate::ProblemFile;
@@ -81,10 +82,6 @@ pub enum FromWorker {
     Pong {
         /// The probe's nonce.
         nonce: u64,
-        /// Cumulative solves this incarnation, for metrics.
-        solves: u64,
-        /// Cumulative contained solve panics this incarnation.
-        solve_panics: u64,
         /// Span clock at send time, refreshing the alignment offset.
         now_micros: u64,
         /// Full registry snapshot for federation (every pong — full
@@ -240,7 +237,7 @@ pub enum WorkerResult {
         solve_micros: u64,
     },
     /// Not solved; `class` matches the serve tier's error classes
-    /// (`deadline`, `solve`, `internal`, `shutdown`).
+    /// (`deadline`, `solve`, `solve_panic`, `problem`, `shutdown`).
     Err {
         /// Error class, for the client's retry decision.
         class: String,
@@ -252,6 +249,29 @@ pub enum WorkerResult {
         /// (never started solving).
         queue_expired: bool,
     },
+}
+
+impl From<ShardCompletion> for WorkerResult {
+    /// The worker body's answer in wire form — the one conversion both
+    /// links use, so a thread and a process answer identically.
+    fn from(c: ShardCompletion) -> WorkerResult {
+        match c.outcome {
+            Ok(solved) => WorkerResult::Ok {
+                tier: solved.degradation.tier.name().to_string(),
+                degraded: solved.degradation.degraded,
+                utility: solved.utility,
+                server: solved.assignment.server,
+                allocation: solved.assignment.amount,
+                solve_micros: c.solve_micros,
+            },
+            Err(e) => WorkerResult::Err {
+                class: e.class().to_string(),
+                queue_expired: matches!(e, aa_core::ShardError::Expired),
+                error: e.to_string(),
+                solve_micros: c.solve_micros,
+            },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -397,11 +417,9 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
         // A pong carrying a federation snapshot round-trips too; one
-        // without stays None (the single-process tier never federates).
+        // without stays None.
         let pong = FromWorker::Pong {
             nonce: 5,
-            solves: 3,
-            solve_panics: 0,
             now_micros: 42,
             metrics: None,
         };

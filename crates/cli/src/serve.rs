@@ -1,51 +1,57 @@
-//! `aa-solve serve` — a deadline-aware LDJSON request loop over a
-//! supervised pool of crash-isolated worker shards.
+//! `aa-solve serve` — a deadline-aware LDJSON request loop over one
+//! supervisor and its worker slots.
 //!
 //! Requests arrive one JSON object per line on stdin; responses leave
 //! one JSON object per line on stdout, in completion order (clients
-//! correlate by echoed `id`). The loop is a reader thread, a writer
-//! thread, and an [`aa_core::ShardPool`] between them:
+//! correlate by echoed `id`). The loop is this module's **reader** (the
+//! calling thread) in front of the one supervisor of [`crate::fleet`],
+//! which routes, tracks, replays and answers every admitted request. Each worker slot runs over one of two links:
 //!
-//! * the **reader** parses lines (bounded by `--max-line-bytes`; an
-//!   oversized line is answered with a `class:"parse"` error instead of
-//!   growing the buffer without bound) and admits jobs with a
-//!   non-blocking submit. A full queue is answered immediately with
-//!   `{"status":"overloaded","retry_after_ms":…}` — load is shed at the
-//!   door instead of growing an unbounded backlog that makes every
-//!   deadline unmeetable. Requests carrying a `stream` key route to a
-//!   fixed shard by consistent hashing, so that stream's incremental
-//!   [`WarmState`](aa_core::WarmState) stays hot; key-less requests go
-//!   to a shared cold queue any idle shard steals from;
-//! * each **shard** solves with its own [`TieredSolver`](aa_core::TieredSolver)
-//!   behind a `catch_unwind` boundary: a panicking solve yields
-//!   `{"status":"error","class":"solve_panic"}` and the shard keeps
-//!   serving. If a shard thread itself dies, the pool's supervisor
-//!   answers its in-flight request, drains its queued requests with
-//!   `class:"internal"` errors (serving continues from surviving
-//!   shards — a shard death never tears down the loop), and restarts
-//!   the shard with exponential backoff; a shard that keeps crashing is
-//!   retired and its streams reroute;
-//! * the **writer** turns pool completions back into response lines and
-//!   owns all latency/deadline accounting.
+//! * a **thread** fed already-parsed, already-built problems over a
+//!   channel — `serve` runs one, `serve --shards N` runs `N`;
+//! * a **process** (this binary re-execed in the hidden `serve-worker`
+//!   mode) speaking [`crate::proto`] frames — `serve --fleet N`.
+//!
+//! Both links run the one worker body ([`aa_core::Worker`]): the tier
+//! ladder behind a `catch_unwind` boundary (a panicking solve answers
+//! `{"status":"error","class":"solve_panic"}` and the worker keeps
+//! serving), per-stream [`WarmState`](aa_core::WarmState), the deadline
+//! budget and the fault schedule. A dead worker of either link has its
+//! in-flight and queued requests replayed on the survivors (up to
+//! `--max-retries` dispatches) and respawns with backoff.
+//!
+//! The reader parses lines (bounded by `--max-line-bytes`; an oversized
+//! line is answered with a `class:"parse"` error instead of growing the
+//! buffer without bound), builds each problem once (an invalid one is
+//! answered `class:"problem"` without a dispatch), and admits the parsed
+//! request under the supervisor's lock. Admission beyond `queue × workers`
+//! pending requests is answered immediately with
+//! `{"status":"overloaded","retry_after_ms":…}` — load is shed at the
+//! door instead of growing an unbounded backlog that makes every
+//! deadline unmeetable.
 //!
 //! All accounting flows through an [`aa_obs::Registry`] (the
-//! `aa_serve_*` family, plus the pool's `aa_shard_*` / `aa_supervisor_*`
-//! gauges and counters), so a live `--metrics-addr` scrape sees the same
-//! numbers the shutdown dump reports. [`ServeCounters`] is a snapshot of
-//! that registry taken at EOF.
+//! `aa_serve_*` request family, the `aa_slo_*` latency objective, and
+//! the supervisor's `aa_fleet_*` series), so a live `--metrics-addr`
+//! scrape sees the same numbers the shutdown dump reports.
+//! [`ServeCounters`] is a snapshot of that registry taken at EOF.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::path::PathBuf;
+use std::sync::mpsc::{self, Sender};
+use std::sync::Mutex;
+use std::time::Instant;
 
-use aa_core::fleet::DEFAULT_SLO_P99_MS;
-use aa_core::shard::{ChaosHook, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool};
+use aa_core::fleet::{
+    DEFAULT_DRAIN_TIMEOUT_MS, DEFAULT_HEARTBEAT_INTERVAL_MS, DEFAULT_HEARTBEAT_MISS_LIMIT,
+    DEFAULT_MAX_RETRIES, DEFAULT_SLO_P99_MS,
+};
 use aa_core::tiered::Tier;
-use aa_core::{SolveError, SubmitError};
+use aa_sim::FleetChaosPlan;
 use serde::{Deserialize, Serialize};
 
+use crate::fleet::{Admit, Event, FleetCore};
 use crate::{build_problem, CliError, ProblemFile};
 
 /// One request line: an optional correlation `id` (echoed back
@@ -56,8 +62,8 @@ pub struct ServeRequest {
     /// Client correlation token; any JSON value, echoed in the response.
     pub id: serde_json::Value,
     /// Warm-state routing key: requests sharing a `stream` go to the
-    /// same shard and reuse its incremental solver state. Omitted →
-    /// cold queue (any shard).
+    /// same worker and reuse its incremental solver state. Omitted →
+    /// the least-loaded worker.
     pub stream: Option<u64>,
     /// Wall-clock deadline for this request, milliseconds from arrival.
     /// Falls back to the loop's `--deadline-ms` default, else unlimited.
@@ -89,7 +95,10 @@ impl Deserialize for ServeRequest {
     }
 }
 
-/// One response line.
+/// One response line. The loop writes `Ok` with three routing fields
+/// appended — `worker` (the slot that answered), `attempts` (dispatches
+/// it took; more than 1 means it survived a worker death) and
+/// `solve_micros` (worker-side solve time).
 #[derive(Debug, Clone, Serialize)]
 #[serde(tag = "status", rename_all = "snake_case")]
 pub enum ServeResponse {
@@ -126,9 +135,10 @@ pub enum ServeResponse {
         /// Echoed request id (`null` for unparseable lines).
         id: serde_json::Value,
         /// Error class: `parse`, `problem`, `deadline`, `solve`,
-        /// `solve_panic` (a contained panic or shard crash mid-solve),
-        /// or `internal` (the request was queued on a shard that died;
-        /// safe to retry).
+        /// `solve_panic` (a contained solver panic), `control` (a bad
+        /// control line), `internal` (retries exhausted or every worker
+        /// retired; safe to retry) or `shutdown` (unanswered when the
+        /// post-EOF drain timed out; safe to retry).
         class: String,
         /// Human-readable detail.
         error: String,
@@ -157,19 +167,18 @@ pub struct ServeCounters {
     pub solved: u64,
     /// Requests shed at admission (queue full).
     pub shed: u64,
-    /// Admitted requests whose deadline lapsed before a shard got to
+    /// Admitted requests whose deadline lapsed before a worker got to
     /// them (answered without a solve).
     pub expired_in_queue: u64,
     /// Lines that were not valid requests (including oversized lines).
     pub parse_errors: u64,
-    /// Admitted requests whose solve failed (bad problem, cancellation,
-    /// contained panic, shard crash).
+    /// Requests whose problem was invalid or whose solve failed
+    /// (cancellation, contained panic).
     pub solve_errors: u64,
-    /// Solves that panicked (contained) or took their shard down
-    /// mid-request; a subset of `solve_errors`.
+    /// Solves that panicked (contained); a subset of `solve_errors`.
     pub solve_panics: u64,
-    /// Admitted requests drained from a dead shard's queue and answered
-    /// with `class:"internal"`.
+    /// Admitted requests answered `class:"internal"`: out of dispatch
+    /// attempts after repeated worker deaths, or no live worker left.
     pub internal_errors: u64,
     /// Solved requests whose end-to-end latency exceeded their deadline
     /// by more than the grace window.
@@ -186,74 +195,99 @@ pub struct ServeCounters {
     pub per_tier: BTreeMap<String, TierCounter>,
 }
 
-/// Configuration for [`run_serve`].
-#[derive(Clone)]
+/// How the supervisor talks to its worker slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// In-process solver threads (`serve`, `serve --shards N`).
+    Thread,
+    /// Worker processes re-execed from this binary (`serve --fleet N`).
+    Process,
+}
+
+/// Default restart budget per worker slot before it is retired.
+pub const DEFAULT_MAX_RESTARTS: u64 = 8;
+
+/// Configuration for [`run_serve`], one struct for every mode.
+#[derive(Debug, Clone)]
 pub struct ServeOpts {
-    /// Per-shard admission queue depth; requests beyond it are shed.
+    /// The worker link: threads or processes.
+    pub link: Link,
+    /// Worker slots (`--shards N` / `--fleet N`; 1 for plain `serve`).
+    pub workers: usize,
+    /// Per-worker admission depth; the loop sheds beyond
+    /// `queue × workers` pending requests.
     pub queue: usize,
     /// Deadline for requests that don't carry their own, milliseconds.
     pub default_deadline_ms: Option<u64>,
     /// Slack added to a deadline before a completed solve counts as a
     /// miss, milliseconds.
     pub grace_ms: u64,
+    /// Longest accepted input line, bytes; longer lines are answered
+    /// with a `class:"parse"` error and skipped.
+    pub max_line_bytes: usize,
+    /// Heartbeat ping interval for process links, milliseconds.
+    pub heartbeat_ms: u64,
+    /// Consecutive unanswered pings before a worker process is declared
+    /// dead.
+    pub heartbeat_miss_limit: u32,
+    /// Dispatch attempts per request before it is answered with a
+    /// retryable `class:"internal"` error.
+    pub max_retries: u32,
+    /// Restarts per worker slot before it is retired.
+    pub max_restarts: u64,
+    /// Post-EOF drain budget, milliseconds (also forwarded to worker
+    /// processes).
+    pub drain_timeout_ms: u64,
+    /// Per-worker warm-stream cap.
+    pub max_streams: usize,
     /// Circuit breaker: consecutive tier failures before it opens.
     pub breaker_threshold: u32,
     /// Circuit breaker: requests a tripped tier sits out.
     pub breaker_cooldown: u64,
-    /// Worker shards (crash domains). 1 preserves the classic
-    /// single-worker loop, just supervised.
-    pub shards: usize,
-    /// Longest accepted input line, bytes; longer lines are answered
-    /// with a `class:"parse"` error and skipped.
-    pub max_line_bytes: usize,
+    /// Solver ladder override; `None` is the full default ladder.
+    pub ladder: Option<Vec<Tier>>,
+    /// Seed for retry/respawn backoff jitter.
+    pub seed: u64,
+    /// Chrome-trace output path (`--trace`). The front-end records a
+    /// request span per admission; thread links record their pipeline
+    /// spans into the same collector, process links ship theirs back and
+    /// are merged as one lane per worker process.
+    pub trace: Option<PathBuf>,
     /// End-to-end p99 latency objective, milliseconds (`--slo-p99-ms`);
     /// `None` uses [`DEFAULT_SLO_P99_MS`].
     pub slo_p99_ms: Option<u64>,
-    /// Deterministic fault injection for tests and chaos drills; `None`
-    /// in production.
-    pub chaos: Option<ChaosHook>,
+    /// Worker executable override for process links; `None` re-execs
+    /// the current binary. A testing hook (`--worker-cmd`).
+    pub worker_cmd: Option<PathBuf>,
+    /// Scheduled worker faults, per slot. `None` in production.
+    pub chaos: Option<FleetChaosPlan>,
 }
 
 impl Default for ServeOpts {
     fn default() -> Self {
         ServeOpts {
+            link: Link::Thread,
+            workers: 1,
             queue: 16,
             default_deadline_ms: None,
             grace_ms: 10,
+            max_line_bytes: 1 << 20,
+            heartbeat_ms: DEFAULT_HEARTBEAT_INTERVAL_MS,
+            heartbeat_miss_limit: DEFAULT_HEARTBEAT_MISS_LIMIT,
+            max_retries: DEFAULT_MAX_RETRIES,
+            max_restarts: DEFAULT_MAX_RESTARTS,
+            drain_timeout_ms: DEFAULT_DRAIN_TIMEOUT_MS,
+            max_streams: 1024,
             breaker_threshold: aa_core::tiered::DEFAULT_BREAKER_THRESHOLD,
             breaker_cooldown: aa_core::tiered::DEFAULT_BREAKER_COOLDOWN,
-            shards: 1,
-            max_line_bytes: 1 << 20,
+            ladder: None,
+            seed: 0,
+            trace: None,
             slo_p99_ms: None,
+            worker_cmd: None,
             chaos: None,
         }
     }
-}
-
-impl std::fmt::Debug for ServeOpts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeOpts")
-            .field("queue", &self.queue)
-            .field("default_deadline_ms", &self.default_deadline_ms)
-            .field("grace_ms", &self.grace_ms)
-            .field("breaker_threshold", &self.breaker_threshold)
-            .field("breaker_cooldown", &self.breaker_cooldown)
-            .field("shards", &self.shards)
-            .field("max_line_bytes", &self.max_line_bytes)
-            .field("slo_p99_ms", &self.slo_p99_ms)
-            .field("chaos", &self.chaos.is_some())
-            .finish()
-    }
-}
-
-/// Reader-side bookkeeping for an admitted request, keyed by the job's
-/// pool sequence number until its completion arrives. Exactly-once at
-/// the serve layer: every entry is inserted before submit and removed by
-/// exactly one completion.
-struct Pending {
-    id: serde_json::Value,
-    deadline_ms: Option<u64>,
-    arrived: Instant,
 }
 
 /// Registry handles for one serve session. Every count the loop keeps
@@ -327,14 +361,6 @@ impl ServeMetrics {
         self.slo.observe(latency, class == "ok");
     }
 
-    pub(crate) fn tier(&self, name: &str) -> &aa_obs::Histogram {
-        self.per_tier
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, h)| h)
-            .expect("every ladder tier has a pre-registered histogram")
-    }
-
     /// The EOF snapshot. Tiers that never answered are omitted, matching
     /// the pre-registry dump (a `BTreeMap` populated on first answer).
     pub(crate) fn snapshot(&self) -> ServeCounters {
@@ -369,17 +395,17 @@ impl ServeMetrics {
     }
 }
 
-/// Run the request loop until `input` reaches EOF, then drain the pool
-/// (every admitted request still gets its one response) and return the
-/// session counters. Responses go to `output` one JSON object per line;
-/// all accounting goes through `registry` (the `aa_serve_*` family plus
-/// the pool's `aa_shard_*` gauges), so a concurrent exporter sees live
-/// counts.
+/// Run the request loop until `input` reaches EOF, then drain (bounded
+/// by `drain_timeout_ms`; what remains is answered `class:"shutdown"`)
+/// and return the session counters. Responses go to `output` one JSON
+/// object per line. Spawn failure of a worker process at startup is
+/// [`CliError::WorkerSpawn`] (exit code 9).
 ///
-/// Handles are get-or-create: running two sessions through the same
-/// registry accumulates across both (pass a fresh [`aa_obs::Registry`]
-/// per session for isolated counts; the binary passes the process-global
-/// one so `--metrics-addr` scrapes cover the whole run).
+/// All accounting goes through `registry`. Handles are get-or-create:
+/// running two sessions through the same registry accumulates across
+/// both (pass a fresh [`aa_obs::Registry`] per session for isolated
+/// counts; the binary passes the process-global one so `--metrics-addr`
+/// scrapes cover the whole run).
 pub fn run_serve<R: BufRead, W: Write + Send>(
     input: R,
     output: W,
@@ -391,39 +417,17 @@ pub fn run_serve<R: BufRead, W: Write + Send>(
         registry,
         opts.slo_p99_ms.unwrap_or(DEFAULT_SLO_P99_MS).saturating_mul(1000),
     );
-    let pending: Mutex<HashMap<u64, Pending>> = Mutex::new(HashMap::new());
-    let (ctx, crx) = mpsc::channel::<ShardCompletion>();
-    let pool = ShardPool::new(
-        ShardConfig {
-            shards: opts.shards.max(1),
-            queue: opts.queue.max(1),
-            cold_queue: opts.queue.max(1),
-            breaker_threshold: opts.breaker_threshold,
-            breaker_cooldown: opts.breaker_cooldown,
-            chaos: opts.chaos.clone(),
-            ..ShardConfig::default()
-        },
-        registry,
-        // The pool's completion callback must not panic; sending on an
-        // unbounded channel can't. A dropped receiver (writer bailed on
-        // a dead pipe) makes this a no-op.
-        Arc::new(move |c| {
-            let _ = ctx.send(c);
-        }),
-    );
-
-    let io_result = std::thread::scope(|s| {
-        let (out, metrics, pending) = (&out, &metrics, &pending);
-        let writer = s.spawn(move || writer_loop(crx, out, pending, metrics, opts));
-        let read_result = reader_loop(input, &pool, out, pending, metrics, opts);
-        // EOF (or a dead output pipe): draining the pool completes every
-        // admitted job, and dropping it closes the completion channel so
-        // the writer exits after the last response.
-        pool.shutdown();
-        let write_result = writer.join().expect("writer thread does not panic");
-        read_result.and(write_result)
-    });
-    io_result?;
+    let (tx, rx) = mpsc::channel::<Event>();
+    let core = Mutex::new(FleetCore::new(opts, registry, &out, &metrics, tx.clone())?);
+    std::thread::scope(|s| {
+        let core = &core;
+        let event_loop = s.spawn(move || FleetCore::run(core, &rx));
+        let read_result = reader_loop(input, core, &tx, &out, &metrics, opts);
+        let _ = tx.send(Event::Eof);
+        drop(tx);
+        event_loop.join().expect("serve event loop does not panic");
+        read_result.map_err(CliError::Io)
+    })?;
     Ok(metrics.snapshot())
 }
 
@@ -482,37 +486,36 @@ pub(crate) fn read_bounded_line<R: BufRead>(
     Ok(LineRead::Oversized)
 }
 
+/// Parse stdin lines and admit them. Parse and problem errors are
+/// answered here, without a dispatch; control lines become events, and
+/// unknown ones get `class:"control"`.
 fn reader_loop<R: BufRead, W: Write>(
     mut input: R,
-    pool: &ShardPool,
+    core: &Mutex<FleetCore<'_, W>>,
+    tx: &Sender<Event>,
     out: &Mutex<W>,
-    pending: &Mutex<HashMap<u64, Pending>>,
     metrics: &ServeMetrics,
     opts: &ServeOpts,
 ) -> std::io::Result<()> {
+    let parse_error = |error: String| {
+        metrics.parse_errors.inc();
+        respond(out, &ServeResponse::Error { id: serde_json::Value::Null, class: "parse".into(), error })
+    };
     let mut buf = Vec::new();
-    let mut seq = 0u64;
     loop {
         match read_bounded_line(&mut input, &mut buf, opts.max_line_bytes)? {
             LineRead::Eof => return Ok(()),
             LineRead::Oversized => {
                 metrics.received.inc();
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: format!(
-                            "request line exceeds the {} byte cap (--max-line-bytes)",
-                            opts.max_line_bytes
-                        ),
-                    },
-                )?;
+                parse_error(format!(
+                    "request line exceeds the {} byte cap (--max-line-bytes)",
+                    opts.max_line_bytes
+                ))?;
                 continue;
             }
             LineRead::Line => {}
         }
+        let read_at = Instant::now();
         let Ok(line) = std::str::from_utf8(&buf) else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -523,76 +526,71 @@ fn reader_loop<R: BufRead, W: Write>(
             continue;
         }
         metrics.received.inc();
-        let req = match serde_json::from_str::<ServeRequest>(line) {
+        let value = match serde_json::from_str::<serde_json::Value>(line) {
             Err(e) => {
-                metrics.parse_errors.inc();
-                respond(
-                    out,
-                    &ServeResponse::Error {
-                        id: serde_json::Value::Null,
-                        class: "parse".to_string(),
-                        error: e.to_string(),
-                    },
-                )?;
+                parse_error(e.to_string())?;
+                continue;
+            }
+            Ok(v) => v,
+        };
+        if let Some(control) = value.get("control") {
+            let id = value.get("id").cloned().unwrap_or(serde_json::Value::Null);
+            let fleet = value.get("fleet").and_then(serde_json::Value::as_u64);
+            match (control.as_str(), fleet) {
+                (Some("resize"), Some(n)) if n >= 1 => {
+                    #[allow(clippy::cast_possible_truncation)]
+                    let workers = n as usize;
+                    if tx.send(Event::Resize { workers, id }).is_err() {
+                        return Ok(());
+                    }
+                }
+                _ => {
+                    metrics.parse_errors.inc();
+                    respond(
+                        out,
+                        &ServeResponse::Error {
+                            id,
+                            class: "control".to_string(),
+                            error: "unsupported control line; expected \
+                                    {\"control\":\"resize\",\"fleet\":N} with N >= 1"
+                                .to_string(),
+                        },
+                    )?;
+                }
+            }
+            continue;
+        }
+        let req = match <ServeRequest as Deserialize>::from_value(&value) {
+            Err(e) => {
+                parse_error(e)?;
                 continue;
             }
             Ok(req) => req,
         };
-        let id = req.id.clone();
+        // Build once, here: an invalid problem never costs a dispatch,
+        // and a thread link solves this very `Problem`.
         let problem = match build_problem(&req.problem) {
             Ok(p) => p,
             Err(e) => {
                 metrics.solve_errors.inc();
+                #[allow(clippy::cast_possible_truncation)]
+                metrics.observe_e2e("problem", read_at.elapsed().as_micros() as u64);
                 respond(
                     out,
-                    &ServeResponse::Error {
-                        id,
-                        class: "problem".to_string(),
-                        error: e.to_string(),
-                    },
+                    &ServeResponse::Error { id: req.id, class: "problem".to_string(), error: e.to_string() },
                 )?;
                 continue;
             }
         };
-        let deadline_ms = req.deadline_ms.or(opts.default_deadline_ms);
-        let arrived = Instant::now();
-        let deadline = deadline_ms.map(|d| arrived + Duration::from_millis(d));
-        // Insert before submit: a fast shard may complete before this
-        // thread runs again, and the writer must find the entry.
-        pending.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            seq,
-            Pending { id: id.clone(), deadline_ms, arrived },
-        );
-        let job = ShardJob { seq, stream: req.stream, problem, deadline, arrived };
-        match pool.submit(job) {
-            Ok(()) => {}
-            Err(e) => {
-                pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&seq);
-                #[allow(clippy::cast_possible_truncation)]
-                let waited_micros = (arrived.elapsed().as_micros() as u64).max(1);
-                match e {
-                    SubmitError::QueueFull { .. } => {
-                        metrics.shed.inc();
-                        metrics.observe_e2e("overloaded", waited_micros);
-                        let retry_after_ms = estimated_drain_ms(metrics, opts.queue);
-                        respond(out, &ServeResponse::Overloaded { id, retry_after_ms })?;
-                    }
-                    SubmitError::NoLiveShards | SubmitError::ShuttingDown => {
-                        metrics.internal_errors.inc();
-                        metrics.observe_e2e("internal", waited_micros);
-                        respond(
-                            out,
-                            &ServeResponse::Error {
-                                id,
-                                class: "internal".to_string(),
-                                error: e.to_string(),
-                            },
-                        )?;
-                    }
-                }
-            }
-        }
-        seq += 1;
+        let admit = Admit {
+            id: req.id,
+            stream: req.stream,
+            deadline_ms: req.deadline_ms.or(opts.default_deadline_ms),
+            arrived: Instant::now(),
+            spec: req.problem,
+            problem,
+        };
+        core.lock().expect("the supervisor lock is never held across a panic").on_admit(admit);
     }
 }
 
@@ -615,140 +613,8 @@ pub(crate) fn estimated_drain_ms(metrics: &ServeMetrics, queue: usize) -> u64 {
     drain_hint_ms(answered, micros, queue)
 }
 
-fn writer_loop<W: Write>(
-    crx: Receiver<ShardCompletion>,
-    out: &Mutex<W>,
-    pending: &Mutex<HashMap<u64, Pending>>,
-    metrics: &ServeMetrics,
-    opts: &ServeOpts,
-) -> std::io::Result<()> {
-    while let Ok(completion) = crx.recv() {
-        let Some(p) = pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&completion.seq)
-        else {
-            // Exactly-once is enforced by the pool; an unknown seq would
-            // mean a duplicate completion. Don't answer it twice.
-            continue;
-        };
-        if write_completion(completion, p, out, metrics, opts).is_err() {
-            // Output pipe is gone: stop writing. The pool keeps
-            // draining into the dead channel and run_serve returns the
-            // error after shutdown.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "response pipe closed",
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn write_completion<W: Write>(
-    completion: ShardCompletion,
-    p: Pending,
-    out: &Mutex<W>,
-    metrics: &ServeMetrics,
-    opts: &ServeOpts,
-) -> std::io::Result<()> {
-    let id = p.id;
-    let latency_ms = p.arrived.elapsed().as_secs_f64() * 1e3;
-    // Floor at 1 µs so percentile snapshots of sub-microsecond
-    // responses stay nonzero.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let latency_micros = ((latency_ms * 1e3) as u64).max(1);
-    match completion.outcome {
-        Ok(solved) => {
-            metrics.solved.inc();
-            metrics.latency.record_micros(latency_micros);
-            metrics.observe_e2e("ok", latency_micros);
-            metrics
-                .tier(solved.degradation.tier.name())
-                .record_micros(completion.solve_micros.max(1));
-            if let Some(d) = p.deadline_ms {
-                if latency_ms > (d + opts.grace_ms) as f64 {
-                    metrics.deadline_misses.inc();
-                }
-            }
-            respond(
-                out,
-                &ServeResponse::Ok {
-                    id,
-                    tier: solved.degradation.tier.name().to_string(),
-                    degraded: solved.degradation.degraded,
-                    utility: solved.utility,
-                    server: solved.assignment.server,
-                    allocation: solved.assignment.amount,
-                    latency_ms,
-                },
-            )
-        }
-        Err(ShardError::Expired) => {
-            metrics.expired_in_queue.inc();
-            metrics.observe_e2e("deadline", latency_micros);
-            let d = p.deadline_ms.unwrap_or(0);
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id,
-                    class: "deadline".to_string(),
-                    error: format!(
-                        "deadline ({d} ms) expired after {:.1} ms in queue",
-                        completion.waited_micros as f64 / 1e3
-                    ),
-                },
-            )
-        }
-        Err(ShardError::Solve(e)) => {
-            metrics.solve_errors.inc();
-            let class = match &e {
-                SolveError::Panicked(_) => {
-                    metrics.solve_panics.inc();
-                    "solve_panic"
-                }
-                SolveError::DeadlineExceeded | SolveError::Cancelled => "deadline",
-                _ => "solve",
-            };
-            metrics.observe_e2e(class, latency_micros);
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id,
-                    class: class.to_string(),
-                    error: e.to_string(),
-                },
-            )
-        }
-        Err(e @ ShardError::Crashed) => {
-            metrics.solve_errors.inc();
-            metrics.solve_panics.inc();
-            metrics.observe_e2e("solve_panic", latency_micros);
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id,
-                    class: "solve_panic".to_string(),
-                    error: format!("{e}; the shard is restarting"),
-                },
-            )
-        }
-        Err(e @ ShardError::Drained) => {
-            metrics.internal_errors.inc();
-            metrics.observe_e2e("internal", latency_micros);
-            respond(
-                out,
-                &ServeResponse::Error {
-                    id,
-                    class: "internal".to_string(),
-                    error: format!("{e}; safe to retry"),
-                },
-            )
-        }
-    }
-}
-
-pub(crate) fn respond<W: Write>(out: &Mutex<W>, response: &ServeResponse) -> std::io::Result<()> {
+/// Write one response line and flush.
+pub(crate) fn respond<W: Write, T: Serialize>(out: &Mutex<W>, response: &T) -> std::io::Result<()> {
     let line = serde_json::to_string(response).expect("responses always serialize");
     let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
     writeln!(w, "{line}")?;
@@ -758,7 +624,7 @@ pub(crate) fn respond<W: Write>(out: &Mutex<W>, response: &ServeResponse) -> std
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aa_core::shard::FaultAction;
+    use aa_core::{Fault, Ring};
     use aa_utility::UtilitySpec;
 
     fn request_line(id: u64, deadline_ms: Option<u64>, threads: usize) -> String {
@@ -797,11 +663,18 @@ mod tests {
     }
 
     fn run(input: &str, opts: &ServeOpts) -> (ServeCounters, Vec<serde_json::Value>) {
-        let mut output: Vec<u8> = Vec::new();
         // A per-session registry keeps tests isolated from each other
         // and from the process-global registry.
-        let registry = aa_obs::Registry::new();
-        let counters = run_serve(input.as_bytes(), &mut output, opts, &registry).unwrap();
+        run_in(input, opts, &aa_obs::Registry::new())
+    }
+
+    fn run_in(
+        input: &str,
+        opts: &ServeOpts,
+        registry: &aa_obs::Registry,
+    ) -> (ServeCounters, Vec<serde_json::Value>) {
+        let mut output: Vec<u8> = Vec::new();
+        let counters = run_serve(input.as_bytes(), &mut output, opts, registry).unwrap();
         let responses = String::from_utf8(output)
             .unwrap()
             .lines()
@@ -853,9 +726,10 @@ mod tests {
         let prom = aa_obs::export::prometheus_text(&registry);
         assert!(prom.contains("aa_serve_received_total 2"), "{prom}");
         assert!(prom.contains("aa_serve_solved_total 2"), "{prom}");
-        // The shard tier exports through the same registry.
-        assert!(prom.contains("aa_shard_solves_total"), "{prom}");
-        assert!(prom.contains("aa_supervisor_restarts_total 0"), "{prom}");
+        // The supervisor's per-worker series export through the same
+        // registry.
+        assert!(prom.contains(r#"aa_fleet_worker_solves_total{worker="0"} 2"#), "{prom}");
+        assert!(prom.contains(r#"aa_fleet_restarts_total{worker="0"} 0"#), "{prom}");
         // The SLO layer tracked both ok responses end-to-end.
         assert!(prom.contains("aa_slo_target_p99_micros 100000"), "{prom}");
         assert!(prom.contains(r#"aa_slo_e2e_micros_count{class="ok"} 2"#), "{prom}");
@@ -970,15 +844,21 @@ mod tests {
             input.push('\n');
         }
         let registry = aa_obs::Registry::new();
-        let mut output: Vec<u8> = Vec::new();
-        let opts = ServeOpts { shards: 3, queue: 64, ..ServeOpts::default() };
-        let counters = run_serve(input.as_bytes(), &mut output, &opts, &registry).unwrap();
+        let opts = ServeOpts { workers: 3, queue: 64, ..ServeOpts::default() };
+        let (counters, responses) = run_in(&input, &opts, &registry);
         assert_eq!(counters.received, 24);
         assert_eq!(counters.solved, 24);
         assert_eq!(counters.shed, 0);
-        // Per-shard accounting flowed through the shared registry.
+        // Every keyed request was answered by its stream's ring owner.
+        let ring = Ring::new(3);
+        for r in &responses {
+            let stream = r["id"].as_u64().unwrap() % 6;
+            assert_eq!(r["worker"].as_u64(), ring.owner(stream).map(|w| w as u64), "{r:?}");
+            assert_eq!(r["attempts"].as_u64(), Some(1), "{r:?}");
+        }
+        // Per-worker accounting flowed through the shared registry.
         let prom = aa_obs::export::prometheus_text(&registry);
-        assert!(prom.contains(r#"aa_shard_solves_total{shard="0"}"#), "{prom}");
+        assert!(prom.contains(r#"aa_fleet_worker_solves_total{worker="0"}"#), "{prom}");
     }
 
     #[test]
@@ -999,50 +879,107 @@ mod tests {
     }
 
     #[test]
-    fn shard_death_yields_structured_errors_and_serving_continues() {
-        // Kill the only shard on its first solve. The in-flight request
-        // is answered `solve_panic`; anything queued behind it drains as
-        // `internal`; requests arriving after the restart solve normally.
-        // The old loop propagated the panic and died (serve.rs used to
-        // break on worker disconnect) — this is the regression test.
-        let chaos: ChaosHook = Arc::new(|_shard, seq| {
-            if seq == 1 {
-                FaultAction::KillShard
-            } else {
-                FaultAction::None
-            }
-        });
+    fn killed_thread_worker_replays_its_requests_exactly_once() {
+        // Kill the only worker thread on its first solve. The supervisor
+        // replays the in-flight request (and anything queued behind it)
+        // on the respawned worker, so every request is answered ok,
+        // exactly once — the killed one on its second dispatch.
+        let plan = FleetChaosPlan { faults: vec![vec![(1, Fault::Kill)]] };
         let mut input = String::new();
         for i in 0..6u64 {
             input.push_str(&stream_request_line(i, 1, 6));
             input.push('\n');
         }
-        let opts = ServeOpts { chaos: Some(chaos), queue: 64, ..ServeOpts::default() };
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let (counters, responses) = run(&input, &opts);
-        std::panic::set_hook(prev);
-        // The loop survived to EOF and every request was answered once.
-        assert_eq!(counters.received, 6);
-        assert_eq!(responses.len(), 6);
-        assert_eq!(counters.solve_panics, 1, "{counters:?}");
-        assert!(
-            responses.iter().any(|r| r["class"] == "solve_panic"),
-            "{responses:?}"
-        );
-        // Everything not caught in the crash was actually solved or
-        // answered with a retryable internal error.
+        let registry = aa_obs::Registry::new();
+        let opts = ServeOpts { chaos: Some(plan), queue: 64, ..ServeOpts::default() };
+        let (counters, responses) = run_in(&input, &opts, &registry);
+        let mut ids: Vec<u64> = responses.iter().map(|r| r["id"].as_u64().unwrap()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..6).collect::<Vec<_>>(), "lost or duplicated: {responses:?}");
         for r in &responses {
-            let ok = r["status"] == "ok"
-                || r["class"] == "solve_panic"
-                || r["class"] == "internal";
-            assert!(ok, "unexpected response {r:?}");
+            assert_eq!(r["status"], "ok", "{r:?}");
         }
+        let killed = responses.iter().find(|r| r["id"].as_u64() == Some(0)).unwrap();
+        assert_eq!(killed["attempts"].as_u64(), Some(2), "{killed:?}");
+        assert_eq!(counters.solved, 6, "{counters:?}");
+        assert_eq!(counters.solve_panics + counters.internal_errors, 0, "{counters:?}");
         assert_eq!(
-            counters.solved + counters.solve_panics + counters.internal_errors,
-            6,
-            "{counters:?}"
+            registry.counter_labeled("aa_fleet_restarts_total", "worker", "0").get(),
+            1
         );
+    }
+
+    #[test]
+    fn worker_past_its_restart_budget_retires_and_its_keys_reroute() {
+        // Worker 0 dies on its first solve with no restart budget: it is
+        // retired, and every request on a stream it owned — the replayed
+        // one included — is answered ok by the survivor.
+        let ring = Ring::new(2);
+        let stream = (0..).find(|&k| ring.owner(k) == Some(0)).unwrap();
+        let plan = FleetChaosPlan { faults: vec![vec![(1, Fault::Kill)], vec![]] };
+        let mut input = String::new();
+        for i in 0..4u64 {
+            input.push_str(&stream_request_line(i, stream, 6));
+            input.push('\n');
+        }
+        let registry = aa_obs::Registry::new();
+        let opts = ServeOpts {
+            workers: 2,
+            max_restarts: 0,
+            chaos: Some(plan),
+            ..ServeOpts::default()
+        };
+        let (counters, responses) = run_in(&input, &opts, &registry);
+        assert_eq!(responses.len(), 4);
+        for r in &responses {
+            assert_eq!(r["status"], "ok", "{r:?}");
+            assert_eq!(r["worker"].as_u64(), Some(1), "{r:?}");
+        }
+        assert_eq!(counters.solved, 4);
+        let prom = aa_obs::export::prometheus_text(&registry);
+        assert!(prom.contains(r#"aa_fleet_restarts_total{worker="0"} 1"#), "{prom}");
+    }
+
+    #[test]
+    fn contained_solve_panic_answers_solve_panic_and_the_worker_keeps_serving() {
+        let plan = FleetChaosPlan { faults: vec![vec![(2, Fault::Panic)]] };
+        let mut input = String::new();
+        for i in 0..5u64 {
+            input.push_str(&stream_request_line(i, 1, 6));
+            input.push('\n');
+        }
+        let registry = aa_obs::Registry::new();
+        let opts = ServeOpts { chaos: Some(plan), queue: 64, ..ServeOpts::default() };
+        let (counters, responses) = run_in(&input, &opts, &registry);
+        assert_eq!(responses.len(), 5);
+        // One worker, FIFO: the second request is the panicking solve.
+        let panicked: Vec<u64> = responses
+            .iter()
+            .filter(|r| r["class"] == "solve_panic")
+            .map(|r| r["id"].as_u64().unwrap())
+            .collect();
+        assert_eq!(panicked, vec![1], "{responses:?}");
+        assert_eq!(counters.solved, 4, "{counters:?}");
+        assert_eq!(counters.solve_panics, 1, "{counters:?}");
+        // Contained: the worker never died.
+        assert_eq!(
+            registry.counter_labeled("aa_fleet_restarts_total", "worker", "0").get(),
+            0
+        );
+    }
+
+    #[test]
+    fn problem_answers_are_recorded_by_the_slo_layer() {
+        let bad = |id: u64| format!(r#"{{"id":{id},"problem":{{"servers":0,"capacity":10.0,"threads":[]}}}}"#);
+        let input = format!("{}\n{}\n{}\n{}\n", bad(1), bad(2), request_line(3, None, 4), bad(4));
+        let registry = aa_obs::Registry::new();
+        let (counters, _) = run_in(&input, &ServeOpts::default(), &registry);
+        assert_eq!(counters.solve_errors, 3);
+        let prom = aa_obs::export::prometheus_text(&registry);
+        assert!(prom.contains(r#"aa_slo_e2e_micros_count{class="problem"} 3"#), "{prom}");
+        let tracked = registry.counter("aa_slo_good_total").get()
+            + registry.counter("aa_slo_breach_total").get();
+        assert_eq!(tracked, 4, "every answered request is SLO-tracked: {prom}");
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! The hidden `serve-worker` mode: one fleet worker process.
+//! The hidden `serve-worker` mode: one worker process behind a process
+//! link.
 //!
 //! A worker is the same binary as the front-end, re-executed with the
 //! internal `serve-worker` subcommand. It speaks the [`crate::proto`]
-//! frame protocol on stdin/stdout and solves with its own
-//! [`TieredSolver`] and warm-state map — the process-level analogue of
-//! one shard thread in [`aa_core::shard`], with the same structure:
+//! frame protocol on stdin/stdout and runs the one worker body,
+//! [`aa_core::Worker`], exactly as a thread link does; only the plumbing
+//! around the body is process-specific:
 //!
 //! * a **reader thread** pulls frames off stdin, answering heartbeat
 //!   pings immediately (even mid-solve) and queueing solve requests;
-//! * the **solve loop** pops requests FIFO, charges per-request budgets
-//!   from worker arrival time, runs every solve behind the tiered
-//!   solver's `catch_unwind` boundary, and keeps per-stream
-//!   [`WarmState`](aa_core::WarmState) with FIFO eviction;
+//! * the **solve loop** pops requests FIFO, builds each problem, and
+//!   hands it to the worker body with its budget charged from worker
+//!   arrival time;
 //! * on stdin **EOF** the worker drains: it keeps solving what it
 //!   already holds for up to `drain_timeout_ms`, answers the remainder
 //!   with retryable `class:"shutdown"` errors, and exits 0.
@@ -19,20 +19,20 @@
 //! Chaos faults are keyed on the worker's *cumulative* solve sequence
 //! number: the front-end passes `--chaos-offset` on restart so the
 //! counter persists across incarnations and a scheduled storm fires
-//! each fault exactly once, deterministically.
+//! each fault exactly once, deterministically. A kill exits the process;
+//! a garbage fault writes a truncated frame first; a stall also stops
+//! the pongs, so the front-end's heartbeat sees it.
 
-use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use aa_core::fleet::{read_frame, write_frame, MAX_FRAME_BYTES};
-use aa_core::tiered::Tier;
-use aa_core::{Budget, SolveError, TieredSolver, WarmState};
+use aa_core::shard::{Fault, ShardConfig, ShardJob, Worker};
 use aa_obs::trace::SpanGuard;
 use aa_obs::Collector;
-use aa_sim::ProcessFault;
 
 use crate::proto::{
     FromWorker, MetricsSnapshot, SpanBinding, ToWorker, TraceCtx, WireSpan, WorkerResult,
@@ -47,21 +47,16 @@ pub const CHAOS_EXIT_CODE: i32 = 86;
 /// argv by `main.rs`.
 #[derive(Debug, Clone)]
 pub struct WorkerOpts {
-    /// This worker's fleet index (echoed in the hello).
+    /// This worker's slot index (echoed in the hello).
     pub index: usize,
-    /// Warm-stream cap (FIFO eviction beyond it).
-    pub max_streams: usize,
-    /// Circuit breaker: consecutive tier failures before it opens.
-    pub breaker_threshold: u32,
-    /// Circuit breaker: requests a tripped tier sits out.
-    pub breaker_cooldown: u64,
-    /// Solver ladder override; `None` is the full default ladder.
-    pub ladder: Option<Vec<Tier>>,
+    /// The worker body's solver settings (warm-stream cap, breaker,
+    /// ladder).
+    pub shard: ShardConfig,
     /// Post-EOF drain budget in milliseconds.
     pub drain_timeout_ms: u64,
     /// Scheduled faults for this worker plus the cumulative solve-seq
     /// offset already consumed by earlier incarnations.
-    pub chaos: Option<(Vec<(u64, ProcessFault)>, u64)>,
+    pub chaos: Option<(Vec<(u64, Fault)>, u64)>,
     /// Install a span collector and ship completed spans back in
     /// [`FromWorker::Obs`] frames (`--obs-spans`, set by a tracing
     /// front-end). Metrics federation via `Pong` is always on; only
@@ -73,10 +68,7 @@ impl Default for WorkerOpts {
     fn default() -> Self {
         WorkerOpts {
             index: 0,
-            max_streams: 1024,
-            breaker_threshold: aa_core::tiered::DEFAULT_BREAKER_THRESHOLD,
-            breaker_cooldown: aa_core::tiered::DEFAULT_BREAKER_COOLDOWN,
-            ladder: None,
+            shard: ShardConfig::default(),
             drain_timeout_ms: aa_core::fleet::DEFAULT_DRAIN_TIMEOUT_MS,
             chaos: None,
             trace_spans: false,
@@ -89,24 +81,21 @@ impl Default for WorkerOpts {
 struct QueuedReq {
     seq: u64,
     stream: Option<u64>,
+    arrived: Instant,
     deadline: Option<Instant>,
     trace: Option<TraceCtx>,
     problem: ProblemFile,
 }
 
-/// State shared between the reader thread and the solve loop.
+/// State shared between the reader thread and the solve loop (the
+/// requests themselves travel over a channel the reader closes at EOF).
 struct Shared {
-    queue: Mutex<VecDeque<QueuedReq>>,
-    wake: Condvar,
-    /// stdin reached EOF (or became unreadable): drain and exit.
-    closed: AtomicBool,
-    /// When EOF happened, as the drain-deadline anchor.
-    eof_at: Mutex<Option<Instant>>,
+    /// When stdin reached EOF (or became unreadable), as the
+    /// drain-deadline anchor.
+    eof_at: OnceLock<Instant>,
     /// While stalled, the reader drops pings so the front-end sees
     /// missed heartbeats (micros since `epoch`; 0 = not stalled).
     stall_until_micros: AtomicU64,
-    solves: AtomicU64,
-    solve_panics: AtomicU64,
 }
 
 /// Run one worker over arbitrary streams (stdin/stdout in production,
@@ -119,15 +108,8 @@ where
 {
     let epoch = Instant::now();
     let out = Mutex::new(output);
-    let shared = Shared {
-        queue: Mutex::new(VecDeque::new()),
-        wake: Condvar::new(),
-        closed: AtomicBool::new(false),
-        eof_at: Mutex::new(None),
-        stall_until_micros: AtomicU64::new(0),
-        solves: AtomicU64::new(0),
-        solve_panics: AtomicU64::new(0),
-    };
+    let shared = Shared { eof_at: OnceLock::new(), stall_until_micros: AtomicU64::new(0) };
+    let (jobs, queue) = mpsc::channel::<QueuedReq>();
 
     if opts.trace_spans {
         Collector::install().set_enabled(true);
@@ -142,8 +124,10 @@ where
     )?;
 
     std::thread::scope(|scope| -> std::io::Result<()> {
-        scope.spawn(|| reader_loop(input, &out, &shared, epoch));
-        solve_loop(&out, &shared, opts, epoch)
+        let (out, shared) = (&out, &shared);
+        // The reader owns the sender: its EOF closes the channel.
+        scope.spawn(move || reader_loop(input, out, shared, jobs, epoch));
+        solve_loop(out, shared, &queue, opts, epoch)
     })
 }
 
@@ -172,6 +156,7 @@ fn reader_loop<R: Read, W: Write>(
     mut input: R,
     out: &Mutex<W>,
     shared: &Shared,
+    jobs: Sender<QueuedReq>,
     epoch: Instant,
 ) {
     while let Ok(Some(payload)) = read_frame(&mut input, MAX_FRAME_BYTES) {
@@ -192,8 +177,6 @@ fn reader_loop<R: Read, W: Write>(
                         out,
                         &FromWorker::Pong {
                             nonce,
-                            solves: shared.solves.load(Ordering::Acquire),
-                            solve_panics: shared.solve_panics.load(Ordering::Acquire),
                             now_micros: span_clock_micros(epoch),
                             metrics: Some(MetricsSnapshot::from_registry(aa_obs::global())),
                         },
@@ -201,56 +184,30 @@ fn reader_loop<R: Read, W: Write>(
                 }
             }
             ToWorker::Req { seq, stream, budget_ms, trace, problem } => {
-                let deadline =
-                    budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                q.push_back(QueuedReq { seq, stream, deadline, trace, problem });
-                drop(q);
-                shared.wake.notify_all();
+                let arrived = Instant::now();
+                let deadline = budget_ms.map(|ms| arrived + Duration::from_millis(ms));
+                let _ = jobs.send(QueuedReq { seq, stream, arrived, deadline, trace, problem });
             }
         }
     }
-    let mut at = shared.eof_at.lock().unwrap_or_else(|e| e.into_inner());
-    *at = Some(Instant::now());
-    drop(at);
-    shared.closed.store(true, Ordering::Release);
-    shared.wake.notify_all();
+    let _ = shared.eof_at.set(Instant::now());
 }
 
 fn solve_loop<W: Write>(
     out: &Mutex<W>,
     shared: &Shared,
+    queue: &Receiver<QueuedReq>,
     opts: &WorkerOpts,
     epoch: Instant,
 ) -> std::io::Result<()> {
-    let solver = match &opts.ladder {
-        Some(ladder) => TieredSolver::with_ladder(ladder.clone()),
-        None => TieredSolver::new(),
-    }
-    .breaker(opts.breaker_threshold, opts.breaker_cooldown);
-    let mut warm: HashMap<Option<u64>, WarmState> = HashMap::new();
-    let mut warm_order: VecDeque<Option<u64>> = VecDeque::new();
-    let mut solve_seq = 0u64;
+    let (faults, offset) = opts.chaos.clone().unwrap_or_default();
+    let mut worker = Worker::new(opts.index, &opts.shard, faults, offset);
     let mut obs = WorkerObsState::new(opts.trace_spans);
 
     loop {
-        let popped = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(req) = q.pop_front() {
-                    break Some(req);
-                }
-                if shared.closed.load(Ordering::Acquire) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .wake
-                    .wait_timeout(q, Duration::from_millis(5))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        };
-        let Some(req) = popped else {
+        // The channel closes once the reader has hit EOF and everything
+        // it queued has been popped.
+        let Ok(req) = queue.recv() else {
             obs.ship(out)?;
             return Ok(());
         };
@@ -258,12 +215,10 @@ fn solve_loop<W: Write>(
         // Past the drain deadline, everything still queued answers
         // `shutdown` without solving — the front-end (or the client)
         // retries elsewhere.
-        let drain_expired = shared.closed.load(Ordering::Acquire) && {
-            let at = shared.eof_at.lock().unwrap_or_else(|e| e.into_inner());
-            at.is_some_and(|t| {
-                Instant::now() >= t + Duration::from_millis(opts.drain_timeout_ms)
-            })
-        };
+        let drain_expired = shared
+            .eof_at
+            .get()
+            .is_some_and(|&t| Instant::now() >= t + Duration::from_millis(opts.drain_timeout_ms));
         if drain_expired {
             send(
                 out,
@@ -280,27 +235,29 @@ fn solve_loop<W: Write>(
             continue;
         }
 
-        solve_seq += 1;
-        if let Some((faults, offset)) = &opts.chaos {
-            let cumulative = offset + solve_seq;
-            if let Some(&(_, fault)) = faults.iter().find(|&&(s, _)| s == cumulative) {
-                inject(fault, out, shared, epoch);
-            }
-        }
-
-        let started = Instant::now();
-        let result = if req.deadline.is_some_and(|d| started >= d) {
-            WorkerResult::Err {
-                class: "deadline".to_string(),
-                error: "budget expired while queued in worker".to_string(),
+        let result = match build_problem(&req.problem) {
+            Err(e) => WorkerResult::Err {
+                class: "problem".to_string(),
+                error: e.to_string(),
                 solve_micros: 0,
-                queue_expired: true,
+                queue_expired: false,
+            },
+            Ok(problem) => {
+                let job = ShardJob {
+                    seq: req.seq,
+                    stream: req.stream,
+                    problem,
+                    deadline: req.deadline,
+                    arrived: req.arrived,
+                };
+                // The guard must drop before `ship` so the solve root (and
+                // the pipeline spans nested under it) are in the buffer.
+                let _root = obs.enter_solve(req.trace);
+                match worker.step(&job, |d| stall(shared, epoch, d)) {
+                    Ok(done) => WorkerResult::from(done),
+                    Err(fault) => die(fault, out),
+                }
             }
-        } else {
-            // The guard must drop before `ship` so the solve root (and
-            // the pipeline spans nested under it) are in the buffer.
-            let _root = obs.enter_solve(req.trace);
-            solve_one(&solver, &mut warm, &mut warm_order, opts, shared, &req, started)
         };
         obs.observe(&result);
         send(out, &FromWorker::Resp { seq: req.seq, result })?;
@@ -405,94 +362,25 @@ impl WorkerObsState {
     }
 }
 
-/// Fire one scheduled fault. `Kill` and `Garbage` do not return.
-fn inject<W: Write>(fault: ProcessFault, out: &Mutex<W>, shared: &Shared, epoch: Instant) {
-    match fault {
-        ProcessFault::Kill => {
-            // No flush, no drain: indistinguishable from SIGKILL as far
-            // as the front-end can observe.
-            std::process::exit(CHAOS_EXIT_CODE);
-        }
-        ProcessFault::Stall { millis } => {
-            let until = (epoch.elapsed() + Duration::from_millis(millis)).as_micros() as u64;
-            shared.stall_until_micros.store(until, Ordering::Release);
-            std::thread::sleep(Duration::from_millis(millis));
-        }
-        ProcessFault::Garbage => {
-            // A length header promising more bytes than follow: the
-            // front-end's framing layer must treat this as a crash.
-            let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = w.write_all(&64u32.to_be_bytes());
-            let _ = w.write_all(b"not json");
-            let _ = w.flush();
-            drop(w);
-            std::process::exit(CHAOS_EXIT_CODE);
-        }
-    }
+/// A scheduled stall: stop answering pings until it passes, and sleep.
+fn stall(shared: &Shared, epoch: Instant, d: Duration) {
+    let until = (epoch.elapsed() + d).as_micros() as u64;
+    shared.stall_until_micros.store(until, Ordering::Release);
+    std::thread::sleep(d);
 }
 
-fn solve_one(
-    solver: &TieredSolver,
-    warm: &mut HashMap<Option<u64>, WarmState>,
-    warm_order: &mut VecDeque<Option<u64>>,
-    opts: &WorkerOpts,
-    shared: &Shared,
-    req: &QueuedReq,
-    started: Instant,
-) -> WorkerResult {
-    let problem = match build_problem(&req.problem) {
-        Ok(p) => p,
-        Err(e) => {
-            return WorkerResult::Err {
-                class: "problem".to_string(),
-                error: e.to_string(),
-                solve_micros: started.elapsed().as_micros() as u64,
-                queue_expired: false,
-            }
-        }
-    };
-    let budget = match req.deadline {
-        Some(d) => Budget::with_deadline(d.saturating_duration_since(started)),
-        None => Budget::unlimited(),
-    };
-    if warm.len() >= opts.max_streams.max(1) && !warm.contains_key(&req.stream) {
-        if let Some(old) = warm_order.pop_front() {
-            warm.remove(&old);
-        }
+/// A scheduled death: exit with no flush and no drain — indistinguishable
+/// from SIGKILL as far as the front-end can observe. A garbage fault
+/// first writes a length header promising more bytes than follow, which
+/// the front-end's framing layer must treat as a crash.
+fn die<W: Write>(fault: Fault, out: &Mutex<W>) -> ! {
+    if fault == Fault::Garbage {
+        let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = w.write_all(&64u32.to_be_bytes());
+        let _ = w.write_all(b"not json");
+        let _ = w.flush();
     }
-    let state = warm.entry(req.stream).or_insert_with(|| {
-        warm_order.push_back(req.stream);
-        WarmState::new()
-    });
-    match solver.try_solve_within_caught(&problem, &budget, Some(state)) {
-        Ok(solved) => {
-            shared.solves.fetch_add(1, Ordering::AcqRel);
-            WorkerResult::Ok {
-                tier: solved.degradation.tier.name().to_string(),
-                degraded: solved.degradation.degraded,
-                utility: solved.utility,
-                server: solved.assignment.server,
-                allocation: solved.assignment.amount,
-                solve_micros: started.elapsed().as_micros() as u64,
-            }
-        }
-        Err(err) => {
-            let class = match &err {
-                SolveError::Panicked(_) => {
-                    shared.solve_panics.fetch_add(1, Ordering::AcqRel);
-                    "solve_panic"
-                }
-                SolveError::DeadlineExceeded | SolveError::Cancelled => "deadline",
-                _ => "solve",
-            };
-            WorkerResult::Err {
-                class: class.to_string(),
-                error: err.to_string(),
-                solve_micros: started.elapsed().as_micros() as u64,
-                queue_expired: false,
-            }
-        }
-    }
+    std::process::exit(CHAOS_EXIT_CODE)
 }
 
 #[cfg(test)]
@@ -655,7 +543,7 @@ mod tests {
         }
         let opts = WorkerOpts {
             drain_timeout_ms: 0,
-            chaos: Some((vec![(1, ProcessFault::Stall { millis: 150 })], 0)),
+            chaos: Some((vec![(1, Fault::Stall { millis: 150 })], 0)),
             ..WorkerOpts::default()
         };
         let msgs = run(input, &opts);
@@ -686,7 +574,7 @@ mod tests {
             problem: problem_file(4),
         }));
         let opts = WorkerOpts {
-            chaos: Some((vec![(1, ProcessFault::Stall { millis: 30 })], 0)),
+            chaos: Some((vec![(1, Fault::Stall { millis: 30 })], 0)),
             ..WorkerOpts::default()
         };
         let msgs = run(input, &opts);
@@ -754,7 +642,7 @@ mod tests {
             problem: problem_file(4),
         }));
         let opts = WorkerOpts {
-            chaos: Some((vec![(3, ProcessFault::Stall { millis: 20 })], 2)),
+            chaos: Some((vec![(3, Fault::Stall { millis: 20 })], 2)),
             ..WorkerOpts::default()
         };
         let started = Instant::now();

@@ -72,8 +72,10 @@ fn fleet_answers_are_bit_identical_to_single_process_serve() {
         .map(|i| request(i, if i % 3 == 0 { None } else { Some(i % 5) }, i))
         .collect();
     let single = run_serve(&["serve"], &lines);
+    let shards = run_serve(&["serve", "--shards", "2"], &lines);
     let fleet = run_serve(&["serve", "--fleet", "3"], &lines);
     assert_eq!(single.len(), 12);
+    assert_eq!(shards.len(), 12);
     assert_eq!(fleet.len(), 12);
 
     let by_id = |resps: &[serde_json::Value], id: u64| -> serde_json::Value {
@@ -83,35 +85,36 @@ fn fleet_answers_are_bit_identical_to_single_process_serve() {
             .unwrap_or_else(|| panic!("no response for id {id}"))
             .clone()
     };
+    let bits = |r: &serde_json::Value| -> Vec<u64> {
+        r["allocation"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_f64().unwrap().to_bits())
+            .collect()
+    };
     for id in 0..12 {
         let s = by_id(&single, id);
-        let f = by_id(&fleet, id);
-        assert_eq!(s["status"].as_str(), Some("ok"), "single {s:?}");
-        assert_eq!(f["status"].as_str(), Some("ok"), "fleet {f:?}");
-        assert_eq!(
-            s["utility"].as_f64().unwrap().to_bits(),
-            f["utility"].as_f64().unwrap().to_bits(),
-            "utility bits diverge for id {id}"
-        );
-        assert_eq!(s["server"], f["server"], "assignment diverges for id {id}");
-        let sa: Vec<u64> = s["allocation"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_f64().unwrap().to_bits())
-            .collect();
-        let fa: Vec<u64> = f["allocation"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| v.as_f64().unwrap().to_bits())
-            .collect();
-        assert_eq!(sa, fa, "allocation bits diverge for id {id}");
-        assert_eq!(s["tier"], f["tier"], "tier diverges for id {id}");
-        // Fleet-only routing fields.
-        assert!(f["worker"].as_u64().is_some());
-        assert!(f["attempts"].as_u64().unwrap() >= 1);
-        assert!(f["solve_micros"].as_u64().is_some());
+        for (mode, other) in [("shards", by_id(&shards, id)), ("fleet", by_id(&fleet, id))] {
+            assert_eq!(s["status"].as_str(), Some("ok"), "single {s:?}");
+            assert_eq!(other["status"].as_str(), Some("ok"), "{mode} {other:?}");
+            assert_eq!(
+                s["utility"].as_f64().unwrap().to_bits(),
+                other["utility"].as_f64().unwrap().to_bits(),
+                "utility bits diverge for id {id} under {mode}"
+            );
+            assert_eq!(s["server"], other["server"], "assignment diverges for id {id} under {mode}");
+            assert_eq!(bits(&s), bits(&other), "allocation bits diverge for id {id} under {mode}");
+            assert_eq!(s["tier"], other["tier"], "tier diverges for id {id} under {mode}");
+        }
+        // Every mode carries the routing fields.
+        for (mode, r, workers) in
+            [("single", &s, 1), ("shards", &by_id(&shards, id), 2), ("fleet", &by_id(&fleet, id), 3)]
+        {
+            assert!(r["worker"].as_u64().is_some_and(|w| w < workers), "{mode} {r:?}");
+            assert!(r["attempts"].as_u64().unwrap() >= 1, "{mode} {r:?}");
+            assert!(r["solve_micros"].as_u64().is_some(), "{mode} {r:?}");
+        }
     }
 }
 
@@ -126,8 +129,15 @@ fn resize_control_acks_and_fleet_keeps_serving() {
         r#"{"control":"resize","fleet":0,"id":"bad"}"#.to_string(),
         r#"{"control":"noop"}"#.to_string(),
     ];
-    let resps = run_serve(&["serve", "--fleet", "2"], &lines);
-    assert_eq!(resps.len(), 7);
+    // Resize is a supervisor operation, the same on either link.
+    for args in [&["serve", "--fleet", "2"], &["serve", "--shards", "2"]] {
+        resize_round(args, &lines);
+    }
+}
+
+fn resize_round(args: &[&str], lines: &[String]) {
+    let resps = run_serve(args, lines);
+    assert_eq!(resps.len(), 7, "{args:?}");
     let find = |pred: &dyn Fn(&serde_json::Value) -> bool| {
         resps.iter().find(|r| pred(r)).cloned().unwrap_or_else(|| {
             panic!("missing expected response in {resps:?}")

@@ -1,13 +1,13 @@
-//! Process-fleet building blocks shared by the `aa serve --fleet`
-//! front-end and the hidden `serve-worker` mode.
+//! Building blocks of the `aa-solve serve` front-end (the one supervisor
+//! over thread and process worker links) and the hidden `serve-worker`
+//! mode.
 //!
 //! This module is deliberately transport-level and policy-free: it owns
-//! the wire framing, the retry backoff math (shared with the in-process
-//! shard supervisor so both tiers back off identically), the front-end's
-//! exactly-once pending map, and the membership-aware stream router. The
-//! process plumbing (spawning, pipes, heartbeat timers) lives in the CLI
-//! crate; everything here is pure data structure and therefore unit- and
-//! property-testable without processes.
+//! the wire framing of the process link, the retry/respawn backoff math,
+//! the front-end's exactly-once pending map, and the membership-aware
+//! stream router. The link plumbing (threads, spawning, pipes, heartbeat
+//! timers) lives in the CLI crate; everything here is pure data structure
+//! and therefore unit- and property-testable without processes.
 //!
 //! ## Framing
 //!
@@ -160,9 +160,8 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, Fra
     Ok(Some(buf))
 }
 
-/// Exponential backoff with seeded jitter, shared by the shard
-/// supervisor (thread restarts) and the fleet front-end (request retry
-/// and process respawn) so both tiers pace recovery identically.
+/// Exponential backoff with seeded jitter: the front-end paces request
+/// replay and worker respawn with it, on both links.
 #[derive(Debug, Clone, Copy)]
 pub struct Backoff {
     /// First-attempt delay; doubles per attempt.

@@ -73,8 +73,7 @@ pub use price::{PriceStats, PriceWarmState};
 pub use problem::{Assignment, AssignmentError, Problem, ProblemBuilder, ProblemError};
 pub use ring::Ring;
 pub use shard::{
-    ChaosHook, FaultAction, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool,
-    SubmitError,
+    Fault, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool, SubmitError, Worker,
 };
 pub use solver::{batch_seed, solve_batch, try_solve_batch, SolveError, Solver, SolverBackend};
 pub use tiered::{Degradation, Tier, TierOutcome, TierStatus, TieredSolve, TieredSolver};

@@ -1,47 +1,35 @@
-//! Deterministic chaos and load harnesses for the supervised shard pool.
+//! Deterministic chaos harness for the serve front-end.
 //!
 //! Mirrors the scripted-churn approach of [`crate::faults`], but the
-//! target is the *serving tier* rather than the cluster model: a seeded
-//! [`ChaosPlan`] schedules worker kills, contained solve panics, and
-//! stalls against an [`aa_core::ShardPool`], keyed on each shard's solve
-//! sequence number so the same plan produces the same faults regardless
-//! of thread interleaving.
+//! target is the *serving tier* rather than the cluster model. A seeded
+//! [`FleetChaosPlan`] deals [`Fault`]s (kills, heartbeat stalls, garbage
+//! frames) to worker slots, keyed on each slot's cumulative solve
+//! sequence number so the same seed fires the same faults no matter how
+//! threads, pipes and schedulers interleave. The same plan drives either
+//! worker link: `chaos --shards N` storms solver threads, `chaos --fleet`
+//! storms worker processes; the CLI crate owns the driver, because it
+//! owns the front-end.
 //!
-//! [`run_chaos`] drives the pool through the plan with closed-loop
-//! request rounds (one request per stream per round, then await the
-//! round's completions) and produces a [`ChaosReport`] asserting the
-//! pool's core robustness invariants:
+//! [`analyze_fleet`] folds the driver's observations into a
+//! [`FleetChaosReport`] built only from schedule- and invariant-derived
+//! fields, so two runs with one seed serialize byte-identically:
 //!
-//! * **liveness** — the pool survives every kill; each shard restarts at
-//!   least as many times as it was killed;
-//! * **exactly-once** — every admitted request gets exactly one
-//!   completion: no losses, no duplicates;
-//! * **warm recovery** — for each disrupted stream, the trailing-window
-//!   p99 of warm solve latency returns to within
-//!   [`RECOVERY_FACTOR`]× its pre-kill value within
-//!   [`RECOVERY_WINDOW_REQUESTS`] requests of the restart (the first
-//!   post-restart solve is a cold warm-state rebuild, so the spike decays
-//!   as it leaves the trailing window).
-//!
-//! [`run_load`] is the companion seeded *open-loop* harness: it blasts a
-//! fixed request count at the pool with no pacing and no retries (a full
-//! queue sheds), reporting throughput, shed rate, and deadline misses —
-//! the basis for the multi-shard scaling comparison in CI.
+//! * **liveness** — the front-end answered every closed-loop round and
+//!   every slot restarted at least once per scheduled fault;
+//! * **exactly-once** — every admitted request got exactly one answer,
+//!   and every answer is `ok` (crash replay, not an error, absorbs each
+//!   death);
+//! * **identity** — every answer is bit-identical to a single-process
+//!   reference solve, and every stream routes back to its ring owner once
+//!   the storm is over;
+//! * **warm recovery** — for each replayed stream, the trailing-window
+//!   p99 of solve latency returns within [`RECOVERY_FACTOR`]× its
+//!   pre-fault value within [`RECOVERY_WINDOW_REQUESTS`] requests.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-use aa_core::shard::{
-    ChaosHook, CompletionFn, FaultAction, ShardCompletion, ShardConfig, ShardError, ShardJob,
-    ShardPool,
-};
-use aa_core::tiered::Tier;
-use aa_core::{Problem, SolveError};
-use aa_obs::Registry;
-use aa_utility::{DynUtility, LogUtility, Power};
-use serde::{Deserialize, Serialize};
+use aa_core::Fault;
+use serde::Serialize;
 
 /// Recovery target: post-restart trailing p99 must come back within this
 /// factor of the pre-kill p99.
@@ -62,255 +50,7 @@ const TRAIL: usize = 16;
 /// — still clears this floor by a wide margin.
 pub const RECOVERY_FLOOR_MICROS: u64 = 100;
 
-/// Configuration for [`run_chaos`].
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosConfig {
-    /// Worker shards in the pool.
-    pub shards: usize,
-    /// Streams pinned to each shard (keys are found by probing the ring).
-    pub streams_per_shard: usize,
-    /// Closed-loop rounds; each round submits one request per stream.
-    pub rounds: usize,
-    /// Times each shard is killed over the run.
-    pub kills_per_shard: usize,
-    /// Inject a contained solve panic every N-th solve on each shard.
-    pub panic_every: Option<u64>,
-    /// Stall every N-th solve on each shard by [`ChaosConfig::stall`].
-    pub stall_every: Option<u64>,
-    /// Stall duration for scheduled stalls, in microseconds.
-    pub stall_micros: u64,
-    /// Seed for problem generation and restart jitter.
-    pub seed: u64,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            shards: 4,
-            streams_per_shard: 2,
-            rounds: 100,
-            kills_per_shard: 3,
-            panic_every: Some(61),
-            stall_every: Some(97),
-            stall_micros: 1000,
-            seed: 2016,
-        }
-    }
-}
-
-/// The deterministic fault schedule derived from a [`ChaosConfig`]:
-/// per-shard solve-sequence numbers at which the worker is killed.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosPlan {
-    /// `kill_seqs[s]` — solve sequence numbers that kill shard `s`.
-    pub kill_seqs: Vec<Vec<u64>>,
-    /// Contained-panic period, if any.
-    pub panic_every: Option<u64>,
-    /// Stall period, if any.
-    pub stall_every: Option<u64>,
-    /// Stall duration in microseconds.
-    pub stall_micros: u64,
-}
-
-impl ChaosPlan {
-    /// Derive the kill schedule: kills are spread evenly across each
-    /// shard's expected solve count (`streams_per_shard × rounds`), so a
-    /// shard is killed mid-traffic with warm streams on both sides.
-    pub fn from_config(cfg: &ChaosConfig) -> Self {
-        let expected = (cfg.streams_per_shard * cfg.rounds) as u64;
-        let kills = cfg.kills_per_shard as u64;
-        let kill_seqs = (0..cfg.shards)
-            .map(|s| {
-                (1..=kills)
-                    .map(|k| {
-                        // Offset per shard so kills don't align across
-                        // shards (a storm, not a synchronized blackout).
-                        (expected * k / (kills + 1)).saturating_add(s as u64) .max(2)
-                    })
-                    .collect()
-            })
-            .collect();
-        ChaosPlan {
-            kill_seqs,
-            panic_every: cfg.panic_every,
-            stall_every: cfg.stall_every,
-            stall_micros: cfg.stall_micros,
-        }
-    }
-
-    /// The plan as a [`ChaosHook`] for [`ShardConfig::chaos`].
-    pub fn hook(&self) -> ChaosHook {
-        let plan = self.clone();
-        Arc::new(move |shard, seq| {
-            if plan.kill_seqs.get(shard).is_some_and(|ks| ks.contains(&seq)) {
-                return FaultAction::KillShard;
-            }
-            if plan.panic_every.is_some_and(|p| p > 0 && seq % p == 0) {
-                return FaultAction::PanicSolve;
-            }
-            if plan.stall_every.is_some_and(|p| p > 0 && seq % p == 0) {
-                return FaultAction::Stall(Duration::from_micros(plan.stall_micros));
-            }
-            FaultAction::None
-        })
-    }
-}
-
-/// Post-kill latency recovery on one disrupted stream.
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamRecovery {
-    /// The stream key.
-    pub stream: u64,
-    /// The shard the stream routes to.
-    pub shard: usize,
-    /// p99 of warm solve latency before the first disruption (µs).
-    pub pre_kill_p99_micros: u64,
-    /// Requests after the last disruption until the trailing-window p99
-    /// fell back within [`RECOVERY_FACTOR`]× pre-kill; `None` if it
-    /// never did within the post-disruption tail.
-    pub recovered_after: Option<usize>,
-    /// Whether recovery happened within [`RECOVERY_WINDOW_REQUESTS`].
-    pub recovered: bool,
-}
-
-/// Everything [`run_chaos`] observed, serializable as the CI artifact.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosReport {
-    /// The config that produced this report.
-    pub config: ChaosConfig,
-    /// The derived kill schedule.
-    pub plan: ChaosPlan,
-    /// Requests admitted by the pool (submit returned `Ok`).
-    pub admitted: usize,
-    /// Completions delivered.
-    pub completed: usize,
-    /// Sequence numbers answered more than once (must be empty).
-    pub duplicate_seqs: Vec<u64>,
-    /// Admitted sequence numbers never answered (must be empty).
-    pub missing_seqs: Vec<u64>,
-    /// Requests answered with a solve.
-    pub ok: usize,
-    /// Requests answered `Crashed` (in flight when a shard died).
-    pub crashed: usize,
-    /// Requests answered `Drained` (queued on a shard that died).
-    pub drained: usize,
-    /// Requests answered with a contained solve panic.
-    pub solve_panics: usize,
-    /// Restart count per shard after the run.
-    pub restarts: Vec<u32>,
-    /// Shards still live (breaker closed) after the run.
-    pub live_shards: usize,
-    /// Per-stream recovery measurements for disrupted streams.
-    pub recoveries: Vec<StreamRecovery>,
-    /// True iff no losses and no duplicates.
-    pub exactly_once: bool,
-    /// True iff the pool answered the final round after every kill —
-    /// i.e. the serve tier never exited.
-    pub survived: bool,
-    /// Wall-clock duration of the run (µs).
-    pub elapsed_micros: u64,
-}
-
-impl ChaosReport {
-    /// All robustness invariants at once; the chaos-smoke CI gate.
-    pub fn healthy(&self) -> bool {
-        self.survived
-            && self.exactly_once
-            && self.live_shards == self.config.shards
-            && self
-                .restarts
-                .iter()
-                .all(|&r| r as usize >= self.config.kills_per_shard)
-            && self.recoveries.iter().all(|r| r.recovered)
-            && !self.recoveries.is_empty()
-    }
-}
-
-/// Collects completions and lets the driver await a target count.
-struct Sink {
-    completions: Mutex<Vec<ShardCompletion>>,
-    arrived: Condvar,
-    count: AtomicUsize,
-}
-
-impl Sink {
-    fn new() -> Arc<Self> {
-        Arc::new(Sink {
-            completions: Mutex::new(Vec::new()),
-            arrived: Condvar::new(),
-            count: AtomicUsize::new(0),
-        })
-    }
-
-    fn hook(self: &Arc<Self>) -> CompletionFn {
-        let me = Arc::clone(self);
-        Arc::new(move |c| {
-            let mut g = me.completions.lock().unwrap_or_else(|e| e.into_inner());
-            g.push(c);
-            me.count.store(g.len(), Ordering::Release);
-            drop(g);
-            me.arrived.notify_all();
-        })
-    }
-
-    /// Wait until `target` completions have arrived; false on timeout.
-    fn await_count(&self, target: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.completions.lock().unwrap_or_else(|e| e.into_inner());
-        while g.len() < target {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .arrived
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            g = guard;
-        }
-        true
-    }
-
-    fn take(&self) -> Vec<ShardCompletion> {
-        std::mem::take(&mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-/// A small concave workload for stream `key`: identical across a
-/// stream's requests, so the warm path settles on `SolveMode::Identical`
-/// and the post-restart cold rebuild is the visible latency spike.
-fn stream_problem(key: u64, seed: u64) -> Problem {
-    let n = 18 + (key % 5) as usize;
-    Problem::builder(3, 12.0)
-        .threads((0..n).map(|i| {
-            let s = 1.0 + ((i as u64 * 7 + key * 3 + seed) % 11) as f64 * 0.5;
-            if i % 2 == 0 {
-                Arc::new(Power::new(s, 0.5, 12.0)) as DynUtility
-            } else {
-                Arc::new(LogUtility::new(s, 0.9, 12.0)) as DynUtility
-            }
-        }))
-        .build()
-        .expect("stream problem is well-formed")
-}
-
-/// Probe the ring for `per_shard` stream keys routed to every shard.
-fn balanced_keys(pool: &ShardPool, per_shard: usize) -> Vec<u64> {
-    let shards = pool.shard_count();
-    let mut found: Vec<Vec<u64>> = vec![Vec::new(); shards];
-    let mut key = 0u64;
-    while found.iter().any(|f| f.len() < per_shard) {
-        if let Some(s) = pool.route(key) {
-            if found[s].len() < per_shard {
-                found[s].push(key);
-            }
-        }
-        key += 1;
-        assert!(key < 1_000_000, "ring probe failed to cover every shard");
-    }
-    found.into_iter().flatten().collect()
-}
-
+/// The 99th percentile (nearest rank) of a nonempty sample.
 fn p99(sorted_or_not: &[u64]) -> u64 {
     assert!(!sorted_or_not.is_empty());
     let mut v = sorted_or_not.to_vec();
@@ -319,243 +59,28 @@ fn p99(sorted_or_not: &[u64]) -> u64 {
     v[idx.saturating_sub(1).min(v.len() - 1)]
 }
 
-/// Run the seeded chaos script against a real shard pool and measure the
-/// robustness invariants. Deterministic in its fault *schedule* (which
-/// shard dies on which solve); timings naturally vary.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let plan = ChaosPlan::from_config(cfg);
-    let registry = Registry::new();
-    let sink = Sink::new();
-    // Quiet the default panic printer: shard kills are scheduled here,
-    // and a chaos run would otherwise spew dozens of backtraces.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let pool = ShardPool::new(
-        ShardConfig {
-            shards: cfg.shards,
-            queue: (cfg.streams_per_shard * 2).max(16),
-            // Kills must never trip the breaker in this harness; the
-            // breaker path has its own tests.
-            max_restarts: (cfg.kills_per_shard as u32 + 2).max(8),
-            backoff_base: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(50),
-            seed: cfg.seed,
-            ladder: Some(vec![Tier::Algo2, Tier::Uu]),
-            chaos: Some(plan.hook()),
-            ..ShardConfig::default()
-        },
-        &registry,
-        sink.hook(),
-    );
-
-    let keys = balanced_keys(&pool, cfg.streams_per_shard);
-    let shard_of: HashMap<u64, usize> =
-        keys.iter().map(|&k| (k, pool.route(k).expect("live shard"))).collect();
-    let problems: HashMap<u64, Problem> =
-        keys.iter().map(|&k| (k, stream_problem(k, cfg.seed))).collect();
-
-    let started = Instant::now();
-    let mut admitted: Vec<u64> = Vec::new();
-    let mut seq = 0u64;
-    let mut lost_round = false;
-    for _round in 0..cfg.rounds {
-        let before = admitted.len();
-        for &key in &keys {
-            let job = ShardJob::new(seq, Some(key), problems[&key].clone(), None);
-            let mut job = Some(job);
-            // Closed-loop: a transiently full queue (kill storm backlog)
-            // drains within the round timeout.
-            let wait_deadline = Instant::now() + Duration::from_secs(20);
-            loop {
-                match pool.submit(job.take().expect("job present")) {
-                    Ok(()) => {
-                        admitted.push(seq);
-                        break;
-                    }
-                    Err(aa_core::SubmitError::QueueFull { .. })
-                        if Instant::now() < wait_deadline =>
-                    {
-                        job = Some(ShardJob::new(
-                            seq,
-                            Some(key),
-                            problems[&key].clone(),
-                            None,
-                        ));
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    Err(e) => panic!("chaos harness submit failed: {e}"),
-                }
-            }
-            seq += 1;
-        }
-        let target = before + keys.len();
-        if !sink.await_count(target, Duration::from_secs(30)) {
-            lost_round = true;
-            break;
-        }
-    }
-    // The pool survived iff every admitted request of every round —
-    // including rounds straddling kills — was answered.
-    let survived = !lost_round;
-    let restarts = pool.restarts();
-    let live_shards = pool.live_shards();
-    pool.shutdown();
-    std::panic::set_hook(prev_hook);
-    let elapsed = started.elapsed();
-
-    let completions = sink.take();
-    let mut counts: HashMap<u64, usize> = HashMap::new();
-    for c in &completions {
-        *counts.entry(c.seq).or_default() += 1;
-    }
-    let duplicate_seqs: Vec<u64> = {
-        let mut d: Vec<u64> =
-            counts.iter().filter(|&(_, &n)| n > 1).map(|(&s, _)| s).collect();
-        d.sort_unstable();
-        d
-    };
-    let missing_seqs: Vec<u64> = {
-        let mut m: Vec<u64> =
-            admitted.iter().copied().filter(|s| !counts.contains_key(s)).collect();
-        m.sort_unstable();
-        m
-    };
-
-    let mut ok = 0;
-    let mut crashed = 0;
-    let mut drained = 0;
-    let mut solve_panics = 0;
-    for c in &completions {
-        match &c.outcome {
-            Ok(_) => ok += 1,
-            Err(ShardError::Crashed) => crashed += 1,
-            Err(ShardError::Drained) => drained += 1,
-            Err(ShardError::Solve(SolveError::Panicked(_))) => solve_panics += 1,
-            Err(_) => {}
-        }
-    }
-
-    // Per-stream latency series in submission order (seq is globally
-    // increasing, so sorting by seq restores it).
-    let mut by_stream: HashMap<u64, Vec<(u64, bool, u64)>> = HashMap::new();
-    for c in &completions {
-        if let Some(s) = c.stream {
-            by_stream.entry(s).or_default().push((
-                c.seq,
-                c.outcome.is_ok(),
-                c.solve_micros,
-            ));
-        }
-    }
-    let mut recoveries = Vec::new();
-    for (&stream, series) in &mut by_stream {
-        series.sort_unstable_by_key(|&(s, _, _)| s);
-        let first_bad = series.iter().position(|&(_, ok, _)| !ok);
-        let last_bad = series.iter().rposition(|&(_, ok, _)| !ok);
-        let (Some(first_bad), Some(last_bad)) = (first_bad, last_bad) else {
-            continue; // stream never disrupted
-        };
-        // Pre-kill warm latencies: successful solves before the first
-        // disruption, excluding the stream's cold first solve.
-        let pre: Vec<u64> = series[..first_bad]
-            .iter()
-            .skip(1)
-            .filter(|&&(_, ok, _)| ok)
-            .map(|&(_, _, us)| us)
-            .collect();
-        let post: Vec<u64> = series[last_bad + 1..]
-            .iter()
-            .filter(|&&(_, ok, _)| ok)
-            .map(|&(_, _, us)| us)
-            .collect();
-        if pre.len() < 8 || post.len() < 8 {
-            continue; // not enough signal either side to measure
-        }
-        let pre_p99 = p99(&pre).max(1);
-        let bound = (pre_p99.max(RECOVERY_FLOOR_MICROS) as f64) * RECOVERY_FACTOR;
-        let mut recovered_after = None;
-        for i in 0..post.len() {
-            let lo = (i + 1).saturating_sub(TRAIL);
-            if (p99(&post[lo..=i]) as f64) <= bound {
-                recovered_after = Some(i + 1);
-                break;
-            }
-        }
-        recoveries.push(StreamRecovery {
-            stream,
-            shard: shard_of[&stream],
-            pre_kill_p99_micros: pre_p99,
-            recovered_after,
-            recovered: recovered_after.is_some_and(|n| n <= RECOVERY_WINDOW_REQUESTS),
-        });
-    }
-    recoveries.sort_by_key(|r| r.stream);
-
-    let exactly_once = duplicate_seqs.is_empty() && missing_seqs.is_empty();
-    ChaosReport {
-        config: cfg.clone(),
-        plan,
-        admitted: admitted.len(),
-        completed: completions.len(),
-        duplicate_seqs,
-        missing_seqs,
-        ok,
-        crashed,
-        drained,
-        solve_panics,
-        restarts,
-        live_shards,
-        recoveries,
-        exactly_once,
-        survived,
-        elapsed_micros: elapsed.as_micros() as u64,
-    }
-}
-
-/// A process-level fault a fleet worker injects against itself, keyed on
-/// the worker's cumulative solve sequence number (1-based, persisting
-/// across restarts via the front-end's replayed offset) so a storm
-/// replays deterministically regardless of pipe and scheduler timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub enum ProcessFault {
-    /// Exit immediately mid-solve, as if SIGKILLed.
-    Kill,
-    /// Stop answering heartbeats (while still holding the pipe open) for
-    /// this long; a duration past the front-end's heartbeat tolerance
-    /// gets the process killed and restarted from outside.
-    Stall {
-        /// Stall duration in milliseconds.
-        millis: u64,
-    },
-    /// Write a truncated garbage frame on stdout and exit: the framing
-    /// violation must be treated exactly like a crash.
-    Garbage,
-}
-
-/// The deterministic process-fault schedule for a fleet: per worker, the
-/// `(solve_seq, fault)` pairs at which that worker misbehaves.
+/// The deterministic fault schedule for a storm: per worker slot, the
+/// `(solve_seq, fault)` pairs at which that slot misbehaves.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ProcessChaosPlan {
+pub struct FleetChaosPlan {
     /// `faults[w]` — this worker's schedule, strictly increasing in seq.
-    pub faults: Vec<Vec<(u64, ProcessFault)>>,
+    pub faults: Vec<Vec<(u64, Fault)>>,
 }
 
-impl ProcessChaosPlan {
+impl FleetChaosPlan {
     /// Derive the storm: kills, then stalls, then garbage faults are
     /// dealt round-robin over workers, and each worker's faults are
     /// spread evenly across its expected solve count
     /// (`streams_per_worker × rounds`) so it dies mid-traffic with warm
-    /// streams on both sides — the same spreading as the in-process
-    /// [`ChaosPlan`].
+    /// streams on both sides.
     pub fn from_config(cfg: &FleetChaosConfig) -> Self {
-        let mut kinds: Vec<Vec<ProcessFault>> = vec![Vec::new(); cfg.workers];
-        let storm = std::iter::repeat_n(ProcessFault::Kill, cfg.kills)
+        let mut kinds: Vec<Vec<Fault>> = vec![Vec::new(); cfg.workers];
+        let storm = std::iter::repeat_n(Fault::Kill, cfg.kills)
             .chain(std::iter::repeat_n(
-                ProcessFault::Stall { millis: cfg.stall_millis },
+                Fault::Stall { millis: cfg.stall_millis },
                 cfg.stalls,
             ))
-            .chain(std::iter::repeat_n(ProcessFault::Garbage, cfg.garbage));
+            .chain(std::iter::repeat_n(Fault::Garbage, cfg.garbage));
         for (i, fault) in storm.enumerate() {
             kinds[i % cfg.workers.max(1)].push(fault);
         }
@@ -579,7 +104,7 @@ impl ProcessChaosPlan {
                     .collect()
             })
             .collect();
-        ProcessChaosPlan { faults }
+        FleetChaosPlan { faults }
     }
 
     /// Total scheduled faults across the fleet.
@@ -588,11 +113,11 @@ impl ProcessChaosPlan {
     }
 }
 
-/// Configuration for a fleet chaos run (the multi-process analogue of
-/// [`ChaosConfig`], driven by the CLI's `chaos --fleet` mode).
+/// Configuration for a chaos storm (the CLI's `chaos --shards N` and
+/// `chaos --fleet` modes).
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetChaosConfig {
-    /// Worker processes in the fleet.
+    /// Worker slots (threads or processes).
     pub workers: usize,
     /// Streams pinned to each worker (keys found by probing the ring).
     pub streams_per_worker: usize,
@@ -680,7 +205,7 @@ pub struct FleetChaosReport {
     /// The config that produced this report.
     pub config: FleetChaosConfig,
     /// The derived fault schedule.
-    pub plan: ProcessChaosPlan,
+    pub plan: FleetChaosPlan,
     /// Requests admitted.
     pub admitted: u64,
     /// Completions delivered.
@@ -743,12 +268,12 @@ impl FleetChaosReport {
 
 /// Pure analysis of a fleet chaos run: fold the driver's observations
 /// into the deterministic [`FleetChaosReport`]. Separated from the
-/// process-driving harness (which lives in the CLI crate, next to the
+/// front-end-driving harness (which lives in the CLI crate, next to the
 /// spawning code) so the verdict logic is unit-testable on synthetic
 /// observations.
 pub fn analyze_fleet(
     cfg: &FleetChaosConfig,
-    plan: &ProcessChaosPlan,
+    plan: &FleetChaosPlan,
     obs: &FleetObservations,
 ) -> FleetChaosReport {
     let mut counts: HashMap<u64, usize> = HashMap::new();
@@ -789,7 +314,7 @@ pub fn analyze_fleet(
 
     // Recovery: per stream, solves before the first replayed request
     // (attempts > 1) vs the trailing window after the last one — same
-    // trailing-p99 criterion as the in-process harness. Only the derived
+    // trailing-p99 criterion on both links. Only the derived
     // counters enter the report; raw latencies never do.
     let mut by_stream: HashMap<u64, Vec<(u64, u32, u64)>> = HashMap::new();
     for c in obs.completions.iter().filter(|c| c.ok) {
@@ -846,188 +371,15 @@ pub fn analyze_fleet(
     }
 }
 
-/// Configuration for [`run_load`].
-#[derive(Debug, Clone, Serialize)]
-pub struct LoadConfig {
-    /// Worker shards.
-    pub shards: usize,
-    /// Streams pinned per shard.
-    pub streams_per_shard: usize,
-    /// Total requests blasted at the pool, round-robin over streams.
-    pub requests: usize,
-    /// Per-shard queue capacity (shedding point).
-    pub queue: usize,
-    /// Per-request deadline in milliseconds, if any.
-    pub deadline_ms: Option<u64>,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            shards: 1,
-            streams_per_shard: 4,
-            requests: 2000,
-            queue: 64,
-            deadline_ms: Some(100),
-            seed: 2016,
-        }
-    }
-}
-
-/// What the open-loop blast observed.
-#[derive(Debug, Clone, Serialize)]
-pub struct LoadReport {
-    /// The config that produced this report.
-    pub config: LoadConfig,
-    /// Requests admitted.
-    pub admitted: usize,
-    /// Requests shed at submit time (full queue).
-    pub shed: usize,
-    /// Admitted requests answered with a solve.
-    pub ok: usize,
-    /// Admitted requests that expired (in queue or mid-solve).
-    pub deadline_misses: usize,
-    /// Wall clock from first submit to last completion (µs).
-    pub elapsed_micros: u64,
-    /// Completed-ok solves per second.
-    pub throughput_rps: f64,
-    /// shed / offered.
-    pub shed_rate: f64,
-    /// misses / admitted.
-    pub miss_rate: f64,
-}
-
-/// Open-loop load harness: submit `cfg.requests` as fast as possible —
-/// no pacing, no retries — and measure completion throughput. Run with
-/// increasing `shards` to measure scaling.
-pub fn run_load(cfg: &LoadConfig) -> LoadReport {
-    let registry = Registry::new();
-    let sink = Sink::new();
-    let pool = ShardPool::new(
-        ShardConfig {
-            shards: cfg.shards,
-            queue: cfg.queue,
-            cold_queue: cfg.queue,
-            seed: cfg.seed,
-            ladder: Some(vec![Tier::Algo2, Tier::Uu]),
-            ..ShardConfig::default()
-        },
-        &registry,
-        sink.hook(),
-    );
-    let keys = balanced_keys(&pool, cfg.streams_per_shard);
-    let problems: Vec<Problem> =
-        keys.iter().map(|&k| stream_problem(k, cfg.seed)).collect();
-
-    let started = Instant::now();
-    let mut admitted = 0usize;
-    let mut shed = 0usize;
-    for i in 0..cfg.requests {
-        let k = i % keys.len();
-        let deadline = cfg.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        let job = ShardJob::new(i as u64, Some(keys[k]), problems[k].clone(), deadline);
-        match pool.submit(job) {
-            Ok(()) => admitted += 1,
-            Err(aa_core::SubmitError::QueueFull { .. }) => shed += 1,
-            Err(e) => panic!("load harness submit failed: {e}"),
-        }
-    }
-    let drained = sink.await_count(admitted, Duration::from_secs(120));
-    let elapsed = started.elapsed();
-    pool.shutdown();
-    assert!(drained, "load harness timed out awaiting completions");
-
-    let completions = sink.take();
-    let mut ok = 0usize;
-    let mut misses = 0usize;
-    for c in &completions {
-        match &c.outcome {
-            Ok(_) => ok += 1,
-            Err(ShardError::Expired)
-            | Err(ShardError::Solve(SolveError::DeadlineExceeded)) => misses += 1,
-            Err(_) => {}
-        }
-    }
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    LoadReport {
-        config: cfg.clone(),
-        admitted,
-        shed,
-        ok,
-        deadline_misses: misses,
-        elapsed_micros: elapsed.as_micros() as u64,
-        throughput_rps: ok as f64 / secs,
-        shed_rate: shed as f64 / (cfg.requests.max(1)) as f64,
-        miss_rate: misses as f64 / admitted.max(1) as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn chaos_plan_is_deterministic_and_kills_every_shard() {
-        let cfg = ChaosConfig::default();
-        let a = ChaosPlan::from_config(&cfg);
-        let b = ChaosPlan::from_config(&cfg);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(a.kill_seqs.len(), cfg.shards);
-        for ks in &a.kill_seqs {
-            assert_eq!(ks.len(), cfg.kills_per_shard);
-            let expected = (cfg.streams_per_shard * cfg.rounds) as u64;
-            assert!(ks.iter().all(|&s| s >= 2 && s < expected));
-        }
-    }
-
-    #[test]
-    fn chaos_storm_preserves_every_robustness_invariant() {
-        let cfg = ChaosConfig {
-            shards: 3,
-            streams_per_shard: 2,
-            rounds: 80,
-            kills_per_shard: 3,
-            ..ChaosConfig::default()
-        };
-        let report = run_chaos(&cfg);
-        assert!(report.survived, "serve loop exited during the storm");
-        assert!(
-            report.exactly_once,
-            "lost {:?} / duplicated {:?}",
-            report.missing_seqs, report.duplicate_seqs
-        );
-        assert_eq!(report.admitted, report.completed);
-        for (s, &r) in report.restarts.iter().enumerate() {
-            assert!(
-                r as usize >= cfg.kills_per_shard,
-                "shard {s} restarted {r} < {} kills",
-                cfg.kills_per_shard
-            );
-        }
-        assert_eq!(report.live_shards, cfg.shards, "a breaker tripped");
-        assert!(report.crashed >= 1, "no kill landed on an in-flight job");
-        assert!(report.solve_panics >= 1, "no contained panic was scheduled");
-        assert!(!report.recoveries.is_empty(), "no disrupted stream measured");
-        for r in &report.recoveries {
-            assert!(
-                r.recovered,
-                "stream {} on shard {} never recovered (pre p99 {}µs, after {:?})",
-                r.stream, r.shard, r.pre_kill_p99_micros, r.recovered_after
-            );
-        }
-        assert!(report.healthy());
-        // The report is the CI artifact; it must serialize.
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("\"exactly_once\":true"), "{json}");
-    }
-
-    #[test]
-    fn process_plan_is_deterministic_and_spreads_the_storm() {
+    fn fleet_plan_is_deterministic_and_spreads_the_storm() {
         let cfg = FleetChaosConfig::default();
-        let a = ProcessChaosPlan::from_config(&cfg);
-        let b = ProcessChaosPlan::from_config(&cfg);
+        let a = FleetChaosPlan::from_config(&cfg);
+        let b = FleetChaosPlan::from_config(&cfg);
         assert_eq!(a, b);
         assert_eq!(a.faults.len(), cfg.workers);
         assert_eq!(a.total(), cfg.kills + cfg.stalls + cfg.garbage);
@@ -1040,13 +392,13 @@ mod tests {
         }
         // Faults round-trip through the wire format the worker CLI uses.
         let json = serde_json::to_string(&a.faults[0]).unwrap();
-        let back: Vec<(u64, ProcessFault)> = serde_json::from_str(&json).unwrap();
+        let back: Vec<(u64, Fault)> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, a.faults[0]);
     }
 
     fn clean_observations(
         cfg: &FleetChaosConfig,
-        plan: &ProcessChaosPlan,
+        plan: &FleetChaosPlan,
     ) -> FleetObservations {
         // Synthetic run: 2 streams per worker, every request solved at a
         // flat 40µs except one replayed spike per disrupted stream.
@@ -1097,7 +449,7 @@ mod tests {
     #[test]
     fn analyze_fleet_passes_a_clean_run_and_flags_each_violation() {
         let cfg = FleetChaosConfig { rounds: 60, ..FleetChaosConfig::default() };
-        let plan = ProcessChaosPlan::from_config(&cfg);
+        let plan = FleetChaosPlan::from_config(&cfg);
         let obs = clean_observations(&cfg, &plan);
         let report = analyze_fleet(&cfg, &plan, &obs);
         assert!(report.exactly_once);
@@ -1165,34 +517,5 @@ mod tests {
         let r = analyze_fleet(&cfg, &plan, &slow);
         assert_eq!(r.unrecovered_streams, 1);
         assert!(!r.all_recovered && !r.healthy());
-    }
-
-    #[test]
-    fn load_harness_accounts_for_every_request() {
-        let cfg = LoadConfig { shards: 2, requests: 400, ..LoadConfig::default() };
-        let report = run_load(&cfg);
-        assert_eq!(report.admitted + report.shed, cfg.requests);
-        assert!(report.ok > 0);
-        assert!(report.throughput_rps > 0.0);
-        assert!(report.shed_rate >= 0.0 && report.shed_rate <= 1.0);
-    }
-
-    #[test]
-    fn load_scaling_multi_shard_is_not_slower_when_cores_allow() {
-        // The ≥5×-at-8-shards acceptance gate runs in CI where the
-        // runner's core count is known; locally we only sanity-check
-        // scaling when the hardware can express it at all.
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if cores < 4 {
-            return;
-        }
-        let base = run_load(&LoadConfig { shards: 1, requests: 1200, ..LoadConfig::default() });
-        let multi = run_load(&LoadConfig { shards: 4, requests: 1200, ..LoadConfig::default() });
-        assert!(
-            multi.throughput_rps >= base.throughput_rps * 0.8,
-            "4-shard throughput regressed: {} vs {}",
-            multi.throughput_rps,
-            base.throughput_rps
-        );
     }
 }

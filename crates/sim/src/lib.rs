@@ -29,9 +29,10 @@
 //!   rate, and per-tier utility retention under overload;
 //! * [`perf`] — a first-order IPC model turning miss ratios into
 //!   performance, for IPC-objective partitioning;
-//! * [`chaos`] — seeded kill/stall/panic storms and an open-loop load
-//!   blast against the supervised shard pool, asserting liveness,
-//!   exactly-once completion, and post-restart warm-latency recovery.
+//! * [`chaos`] — seeded kill/stall/garbage storms against the serve
+//!   front-end's worker slots (threads or processes) and the verdict over
+//!   them: liveness, exactly-once completion, bit-identical answers, and
+//!   post-restart warm-latency recovery.
 //!
 //! Everything here is built from scratch; no external simulator is
 //! required (see DESIGN.md's substitution table).
@@ -48,9 +49,8 @@ pub mod perf;
 pub mod trace;
 
 pub use chaos::{
-    analyze_fleet, run_chaos, run_load, ChaosConfig, ChaosReport, FleetChaosConfig,
-    FleetChaosReport, FleetObservation, FleetObservations, LoadConfig, LoadReport,
-    ProcessChaosPlan, ProcessFault,
+    analyze_fleet, FleetChaosConfig, FleetChaosPlan, FleetChaosReport, FleetObservation,
+    FleetObservations,
 };
 pub use controller::{Controller, EpochReport, RepairPolicy};
 pub use overload::{run_overload, OverloadConfig, OverloadReport};

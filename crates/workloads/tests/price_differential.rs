@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 /// Documented relative utility tolerance of the price backend vs Algo2
-/// (see DESIGN.md §13 and the `aa_core::price` module docs).
+/// (see DESIGN.md §12 and the `aa_core::price` module docs).
 const PRICE_UTILITY_RTOL: f64 = 0.05;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
