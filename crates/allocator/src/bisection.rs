@@ -9,12 +9,12 @@
 //! reference \[16\] (Galil).
 //!
 //! [`find_root`] is the only such search in the workspace. The allocator
-//! here (cold, warm, sequential, parallel, budgeted) and the
-//! price-discovery backend in `aa-core` (global clearing and per-server
-//! refinement) all call it. It probes a start price (`1.0` cold, the
-//! previous answer warm), walks geometrically until the root is
-//! bracketed, and refines with a safeguarded secant step and a midpoint
-//! every sixth probe. It stops when the bracket collapses to adjacent
+//! here — [`allocate`], its checked form [`allocate_checked`] and the
+//! warm [`allocate_warm_into`] — and the price-discovery backend in
+//! `aa-core` (global clearing and per-server refinement) all call it.
+//! It probes a start price (`1.0` cold, the previous answer warm), walks
+//! geometrically until the root is bracketed, and refines with a
+//! safeguarded secant step and a midpoint every sixth probe. It stops when the bracket collapses to adjacent
 //! floats, or — price discovery only — when demand lies within a
 //! tolerance of supply.
 //!
@@ -25,14 +25,21 @@
 //! A search that collapses lands on that pair whatever its start price
 //! and steps. The allocation is a function of the pair alone — the
 //! demands at its high price, plus the leftover spread over the threads
-//! whose demand jumps across it — so cold, warm, sequential, parallel
-//! and budgeted allocations agree bit for bit, at every pool width.
+//! whose demand jumps across it — so cold, warm and budgeted allocations
+//! agree bit for bit.
+//!
+//! **Fan-out.** Every entry spreads its sweeps over the thread pool once
+//! the slice holds [`PAR_THRESHOLD`] elements, and only then; which
+//! entry a caller picks never decides it. Slots are written by index
+//! and summed in index order, so the answer is the same bits at every
+//! pool width, and `rayon::with_threads(1, …)` is the sequential
+//! reference.
 
 use aa_utility::{DemandTable, Utility};
 use rayon::prelude::*;
 use rayon::CancelToken;
 
-use crate::Allocation;
+use crate::{Allocation, PAR_THRESHOLD};
 
 /// Cached handles into the global metrics registry, created on the first
 /// *recorded* call so the zero-allocation steady state never sees the
@@ -50,17 +57,6 @@ fn obs_counters() -> &'static (aa_obs::Counter, aa_obs::Counter, aa_obs::Counter
     })
 }
 
-/// Thread-count threshold past which the parallel entry points spread a
-/// sweep over the thread pool. Below it the sequential loop is faster (the
-/// fork-join overhead exceeds the work); results are identical either
-/// way.
-///
-/// This is the shared workspace crossover from [`crate::tuning`]
-/// (env-overridable via `AA_PAR_THRESHOLD`, parsed once); the
-/// linearizer and the price-discovery sweeps gate on the same value, so
-/// the crossover can no longer diverge between crates.
-pub use crate::tuning::par_threshold;
-
 /// Marker error: an interruptible allocation was abandoned because its
 /// cancel token fired *between* two check-closure calls (the pool
 /// observed the token mid-map). Callers with richer error enums convert
@@ -76,70 +72,60 @@ impl std::fmt::Display for Interrupted {
 
 impl std::error::Error for Interrupted {}
 
-/// How a whole-slice map runs. Every mode writes the same value into
-/// each slot, and callers fold the slice sequentially in index order,
-/// so results are bit-identical across modes and pool widths.
-#[derive(Debug, Clone, Copy)]
-enum Fanout<'t> {
-    /// A plain loop on the calling thread.
-    Seq,
-    /// Disjoint contiguous chunks over the pool once the slice holds
-    /// [`par_threshold`] elements (a plain loop below it). With a token,
-    /// the pool abandons unclaimed chunks when it fires.
-    Par(Option<&'t CancelToken>),
-}
-
-impl Fanout<'_> {
-    /// Run `fill(start, chunk)` over `out` split into chunks, where
-    /// `chunk[k]` is slot `start + k`. `None` when the token fired.
-    fn fill(self, out: &mut [f64], fill: impl Fn(usize, &mut [f64]) + Sync) -> Option<()> {
-        let n = out.len();
-        let token = match self {
-            Fanout::Par(token) if n >= par_threshold() => token,
-            _ => {
-                fill(0, out);
-                return Some(());
-            }
-        };
-        let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1);
-        let chunks = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter();
-        let run = |(k, slot): (usize, &mut [f64])| fill(k * chunk, slot);
-        match token {
-            Some(token) => chunks.for_each_cancellable(token, run).ok(),
-            None => {
-                chunks.for_each(run);
-                Some(())
-            }
+/// Run `fill(start, chunk)` over `out` split into chunks, where
+/// `chunk[k]` is slot `start + k`: a plain loop below
+/// [`PAR_THRESHOLD`] slots, disjoint contiguous chunks over the pool
+/// from it on. With a token, the pool abandons unclaimed chunks when it
+/// fires and the call returns `None`. Every slot gets the same value
+/// either way, and callers fold the slice sequentially in index order,
+/// so results are bit-identical at every size and pool width.
+fn fill(
+    token: Option<&CancelToken>,
+    out: &mut [f64],
+    fill: impl Fn(usize, &mut [f64]) + Sync,
+) -> Option<()> {
+    let n = out.len();
+    if n < PAR_THRESHOLD {
+        fill(0, out);
+        return Some(());
+    }
+    let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1);
+    let chunks = out
+        .chunks_mut(chunk)
+        .enumerate()
+        .collect::<Vec<_>>()
+        .into_par_iter();
+    let run = |(k, slot): (usize, &mut [f64])| fill(k * chunk, slot);
+    match token {
+        Some(token) => chunks.for_each_cancellable(token, run).ok(),
+        None => {
+            chunks.for_each(run);
+            Some(())
         }
     }
-
-    /// One demand sweep `out[i] = x_i(λ)` through the compiled kernel;
-    /// returns the index-order sum. The table's bit-identity contract
-    /// makes each slot equal `utils[i].inverse_derivative(lambda)`.
-    fn sweep<U: Utility>(
-        self,
-        table: &DemandTable,
-        utils: &[U],
-        lambda: f64,
-        out: &mut [f64],
-    ) -> Option<f64> {
-        self.fill(out, |start, chunk| {
-            table.batch_range(utils, lambda, start, chunk)
-        })?;
-        Some(out.iter().sum())
-    }
 }
 
-/// One demand sweep `out[i] = x_i(λ)` spread over the pool once `n`
-/// reaches [`par_threshold`], without the sum: the price backend's
-/// placement sweep. Bit-identical to the sequential sweep at any pool
-/// width.
+/// One demand sweep `out[i] = x_i(λ)` through the compiled kernel;
+/// returns the index-order sum. The table's bit-identity contract
+/// makes each slot equal `utils[i].inverse_derivative(lambda)`.
+fn sweep<U: Utility>(
+    token: Option<&CancelToken>,
+    table: &DemandTable,
+    utils: &[U],
+    lambda: f64,
+    out: &mut [f64],
+) -> Option<f64> {
+    fill(token, out, |start, chunk| {
+        table.batch_range(utils, lambda, start, chunk)
+    })?;
+    Some(out.iter().sum())
+}
+
+/// One demand sweep `out[i] = x_i(λ)`, fanned out once `n` reaches
+/// [`PAR_THRESHOLD`], without the sum: the price backend's placement
+/// sweep. Bit-identical to a sequential sweep at any pool width.
 pub fn par_sweep<U: Utility>(table: &DemandTable, utils: &[U], lambda: f64, out: &mut [f64]) {
-    let _ = Fanout::Par(None).fill(out, |start, chunk| {
+    let _ = fill(None, out, |start, chunk| {
         table.batch_range(utils, lambda, start, chunk)
     });
 }
@@ -327,8 +313,8 @@ pub struct WarmStats {
 
 /// Warm-start state for [`allocate_warm_into`]: the previous answer's
 /// price plus every buffer the search needs, so a steady-state call
-/// performs no heap allocation at all (buffers are resized within their
-/// retained capacity).
+/// below [`PAR_THRESHOLD`] elements performs no heap allocation at all
+/// (buffers are resized within their retained capacity).
 #[derive(Debug, Clone, Default)]
 pub struct WarmCache {
     /// The high end of the previous collapsed bracket, where the next
@@ -394,7 +380,7 @@ fn allocate_into<U, E>(
     budget: f64,
     start: f64,
     use_ladder: bool,
-    fanout: Fanout<'_>,
+    token: Option<&CancelToken>,
     cache: &mut WarmCache,
     amounts: &mut Vec<f64>,
     check: &mut dyn FnMut() -> Result<(), E>,
@@ -447,7 +433,7 @@ where
         |lambda| {
             check()?;
             stats.demand_maps += 1;
-            let d = match fanout.sweep(table, utils, lambda, d_probe) {
+            let d = match sweep(token, table, utils, lambda, d_probe) {
                 Some(d) => d,
                 None => return Err(interrupted(check)),
             };
@@ -515,7 +501,7 @@ fn allocate_impl<U, E>(
     utils: &[U],
     budget: f64,
     use_ladder: bool,
-    fanout: Fanout<'_>,
+    token: Option<&CancelToken>,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<Allocation, E>
 where
@@ -532,13 +518,13 @@ where
         budget,
         1.0,
         use_ladder,
-        fanout,
+        token,
         &mut WarmCache::new(),
         &mut amounts,
         check,
     )?;
     let mut values = vec![0.0; utils.len()];
-    let filled = fanout.fill(&mut values, |start, chunk| {
+    let filled = fill(token, &mut values, |start, chunk| {
         for (k, v) in chunk.iter_mut().enumerate() {
             *v = utils[start + k].value(amounts[start + k]);
         }
@@ -552,11 +538,16 @@ where
     })
 }
 
-/// Unwrap an allocation whose strategy and check are both infallible.
-fn expect_complete(result: Result<Allocation, Interrupted>) -> Allocation {
+/// The check of an unbudgeted call: never fires.
+fn unchecked() -> Result<(), Interrupted> {
+    Ok(())
+}
+
+/// Unwrap an allocation whose token and check are both absent.
+fn expect_complete<T>(result: Result<T, Interrupted>) -> T {
     match result {
         Ok(a) => a,
-        Err(Interrupted) => unreachable!("infallible strategy cannot be interrupted"),
+        Err(Interrupted) => unreachable!("an unchecked allocation cannot be interrupted"),
     }
 }
 
@@ -575,6 +566,9 @@ fn expect_complete(result: Result<Allocation, Interrupted>) -> Allocation {
 ///   price; validated against [`segment`](crate::segment) (exact for
 ///   piecewise-linear) and [`exact_dp`](crate::exact_dp) in tests.
 ///
+/// [`allocate_checked`] without a token or check: the same body, so the
+/// same bits.
+///
 /// # Example
 ///
 /// ```
@@ -588,9 +582,7 @@ fn expect_complete(result: Result<Allocation, Interrupted>) -> Allocation {
 /// assert!((alloc.amounts[1] - 4.0).abs() < 1e-6);
 /// ```
 pub fn allocate<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(utils, budget, true, Fanout::Seq, &mut || {
-        Ok(())
-    }))
+    expect_complete(allocate_impl(utils, budget, true, None, &mut unchecked))
 }
 
 /// [`allocate`] with the all-discrete ladder switched off: the search
@@ -599,13 +591,7 @@ pub fn allocate<U: Utility>(utils: &[U], budget: f64) -> Allocation {
 /// the same unique pair); exists as the reference arm for differential
 /// tests and benchmarks of the discrete path.
 pub fn allocate_generic<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(
-        utils,
-        budget,
-        false,
-        Fanout::Seq,
-        &mut || Ok(()),
-    ))
+    expect_complete(allocate_impl(utils, budget, false, None, &mut unchecked))
 }
 
 /// Diagnostic: the adjacent-float bracket the all-discrete ladder lands
@@ -630,9 +616,7 @@ pub fn discrete_ladder_bracket<U: Utility>(utils: &[U], budget: f64) -> Option<(
         ladder: table.ladder(),
     };
     let root = find_root(search, budget, total_cap, |lambda| {
-        Fanout::Seq
-            .sweep(&table, utils, lambda, &mut out)
-            .ok_or(Interrupted)
+        sweep(None, &table, utils, lambda, &mut out).ok_or(Interrupted)
     });
     match root {
         Ok(Root::Collapsed { lo, hi, .. }) if lo > 0.0 => Some((lo, hi)),
@@ -640,58 +624,28 @@ pub fn discrete_ladder_bracket<U: Utility>(utils: &[U], budget: f64) -> Option<(
     }
 }
 
-/// [`allocate`] with a cooperative interruption check, the building
-/// block for deadline-budgeted solving. `check` is called once up front,
-/// once per demand sweep, and before the leftover spread; its first
-/// `Err` aborts the allocation and is returned verbatim. With a check
-/// that never fires the result is **bit-identical** to [`allocate`] —
-/// same code path, the checks do not touch the numerics.
-pub fn allocate_interruptible<U, E>(
+/// [`allocate`] with a cooperative interruption check and an optional
+/// pool-level [`CancelToken`], the building block for budgeted solving.
+/// `check` is called once up front, once per demand sweep, and before
+/// the leftover spread; its first `Err` aborts the allocation and is
+/// returned verbatim. Sweeps and the utility map fan out over the pool
+/// once `utils.len() ≥ `[`PAR_THRESHOLD`]; there they watch `token` and
+/// abandon unclaimed chunks when it fires (reported through `check`'s
+/// diagnosis, or [`Interrupted`] if `check` still says `Ok`). While
+/// neither fires the result is **bit-identical** to [`allocate`] at
+/// every pool width: one code path, and the checks do not touch the
+/// numerics.
+pub fn allocate_checked<U, E>(
     utils: &[U],
     budget: f64,
+    token: Option<&CancelToken>,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<Allocation, E>
 where
     U: Utility,
     E: From<Interrupted>,
 {
-    allocate_impl(utils, budget, true, Fanout::Seq, check)
-}
-
-/// [`allocate`] with every demand sweep and the utility map spread over
-/// the thread pool once `utils.len() ≥ `[`par_threshold`].
-/// **Bit-identical** to [`allocate`] for every thread count
-/// (`AA_NUM_THREADS`, or a scoped `rayon::with_threads`): the two share
-/// one implementation, and every map writes slots by index and is
-/// summed sequentially.
-pub fn allocate_par<U: Utility>(utils: &[U], budget: f64) -> Allocation {
-    expect_complete(allocate_impl(
-        utils,
-        budget,
-        true,
-        Fanout::Par(None),
-        &mut || Ok(()),
-    ))
-}
-
-/// [`allocate_par`] with a cooperative interruption check *and* a
-/// pool-level [`CancelToken`]: between `check` calls, the fanned-out
-/// demand maps themselves watch `token` and abandon unclaimed chunks
-/// when it fires (reported as `Err` via `check`'s diagnosis, or
-/// [`Interrupted`] if `check` still says `Ok`). While neither fires the
-/// result is **bit-identical** to [`allocate_par`] and [`allocate`] for
-/// every thread count.
-pub fn allocate_par_interruptible<U, E>(
-    utils: &[U],
-    budget: f64,
-    token: &CancelToken,
-    check: &mut dyn FnMut() -> Result<(), E>,
-) -> Result<Allocation, E>
-where
-    U: Utility,
-    E: From<Interrupted>,
-{
-    allocate_impl(utils, budget, true, Fanout::Par(Some(token)), check)
+    allocate_impl(utils, budget, true, token, check)
 }
 
 // ---- warm-started allocation ----
@@ -704,34 +658,24 @@ where
 // secant steps. Cold and warm collapse onto the same unique pair, so
 // the answers are the same bits.
 
-/// [`allocate`], warm-started from `cache` and writing the amounts into
-/// a caller-owned buffer: **bit-identical** to [`allocate`] on the same
-/// slice and budget (see the module notes on the unique boundary pair),
-/// few demand maps when successive instances drift slowly, and zero heap
-/// allocation once the buffers have grown to the instance size. The
-/// utility sum is *not* computed — callers on the assignment hot path
-/// only consume the amounts; use [`allocate`] when the pooled utility
-/// value itself is needed.
-pub fn allocate_warm_into<U: Utility>(
+/// [`allocate_checked`], warm-started from `cache` and writing the
+/// amounts into a caller-owned buffer: **bit-identical** to [`allocate`]
+/// on the same slice and budget (see the module notes on the unique
+/// boundary pair), few demand maps when successive instances drift
+/// slowly, and — below [`PAR_THRESHOLD`] elements, where sweeps run on
+/// the calling thread — zero heap allocation once the buffers have grown
+/// to the instance size. `token` and `check` act as in
+/// [`allocate_checked`]; an abort leaves the cache cold, so the next
+/// call through it starts the search at `1.0`. The utility sum is *not*
+/// computed — callers on the assignment hot path only consume the
+/// amounts; use [`allocate`] when the pooled utility value itself is
+/// needed.
+pub fn allocate_warm_into<U, E>(
     utils: &[U],
     budget: f64,
     cache: &mut WarmCache,
     amounts: &mut Vec<f64>,
-) -> WarmStats {
-    match allocate_warm_into_interruptible(utils, budget, cache, amounts, &mut || Ok(())) {
-        Ok(stats) => stats,
-        Err(Interrupted) => unreachable!("infallible check cannot interrupt"),
-    }
-}
-
-/// [`allocate_warm_into`] with a cooperative interruption check (same
-/// granularity as [`allocate_interruptible`]). An abort leaves the cache
-/// cold, so the next call through it starts the search at `1.0`.
-pub fn allocate_warm_into_interruptible<U, E>(
-    utils: &[U],
-    budget: f64,
-    cache: &mut WarmCache,
-    amounts: &mut Vec<f64>,
+    token: Option<&CancelToken>,
     check: &mut dyn FnMut() -> Result<(), E>,
 ) -> Result<WarmStats, E>
 where
@@ -744,16 +688,7 @@ where
     }
     // Taken, not read: an aborted search leaves the cache cold.
     let start = cache.price.take().unwrap_or(1.0);
-    cache.price = allocate_into(
-        utils,
-        budget,
-        start,
-        true,
-        Fanout::Seq,
-        cache,
-        amounts,
-        check,
-    )?;
+    cache.price = allocate_into(utils, budget, start, true, token, cache, amounts, check)?;
     Ok(cache.stats)
 }
 
@@ -761,10 +696,11 @@ where
 /// in `amounts`, the search scratch lives in `cache`, and only the
 /// utility sum is returned. **Bit-identical** to [`allocate`] — the cache
 /// is invalidated first, so the search starts cold — with no per-call
-/// heap allocation once the buffers have grown to the working size. This
-/// is the arena building block for repeated independent solves (e.g. the
-/// churn repair's per-server re-splits), where a warm price would rarely
-/// help but the allocation churn still matters.
+/// heap allocation below [`PAR_THRESHOLD`] once the buffers have grown
+/// to the working size. This is the arena building block for repeated
+/// independent solves (e.g. the churn repair's per-server re-splits),
+/// where a warm price would rarely help but the allocation churn still
+/// matters.
 pub fn allocate_utility_into<U: Utility>(
     utils: &[U],
     budget: f64,
@@ -772,9 +708,9 @@ pub fn allocate_utility_into<U: Utility>(
     amounts: &mut Vec<f64>,
 ) -> f64 {
     cache.invalidate();
-    allocate_warm_into(utils, budget, cache, amounts);
+    expect_complete(allocate_warm_into(utils, budget, cache, amounts, None, &mut unchecked));
     // Index-order sum of f_i(x_i): the same additions, in the same order,
-    // as the sequential fanout behind `allocate`.
+    // as the utility map behind `allocate`.
     utils
         .iter()
         .zip(amounts.iter())
@@ -946,7 +882,7 @@ mod tests {
         for budget in [0.0, 0.5, 3.0, 12.0, 29.9, 100.0] {
             let plain = allocate(&utils, budget);
             let interruptible =
-                allocate_interruptible(&utils, budget, &mut || Ok::<(), Interrupted>(()))
+                allocate_checked(&utils, budget, None, &mut || Ok::<(), Interrupted>(()))
                     .expect("quiet check never aborts");
             assert_eq!(plain.utility.to_bits(), interruptible.utility.to_bits());
             for (a, b) in plain.amounts.iter().zip(&interruptible.amounts) {
@@ -971,7 +907,7 @@ mod tests {
         // Exhaust "fuel" after a handful of checks: the search runs a
         // few dozen sweeps, so this fires mid-search.
         let mut fuel = 5_u32;
-        let result = allocate_interruptible(&utils, 40.0, &mut || {
+        let result = allocate_checked(&utils, 40.0, None, &mut || {
             if fuel == 0 {
                 Err(E::Deadline)
             } else {
@@ -985,7 +921,7 @@ mod tests {
     #[test]
     fn immediately_failing_check_aborts_before_any_work() {
         let utils = vec![Power::new(1.0, 0.5, 10.0)];
-        let result = allocate_interruptible(&utils, 5.0, &mut || Err(Interrupted));
+        let result = allocate_checked(&utils, 5.0, None, &mut || Err(Interrupted));
         assert_eq!(result, Err(Interrupted));
     }
 }
@@ -1009,68 +945,50 @@ mod par_tests {
     }
 
     #[test]
-    fn small_inputs_take_the_sequential_path() {
-        let utils = vec![Power::new(1.0, 0.5, 10.0), Power::new(2.0, 0.5, 10.0)];
-        let a = allocate(&utils, 10.0);
-        let b = allocate_par(&utils, 10.0);
-        assert_eq!(a, b); // bit-identical: same code path
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_above_threshold() {
-        // Above the threshold the parallel strategy actually runs; the
-        // determinism contract promises *exact* equality, not closeness.
-        let utils = mixed_pool(par_threshold() + 100);
-        let budget = 0.3 * 100.0 * utils.len() as f64;
-        let seq = allocate(&utils, budget);
-        let par = allocate_par(&utils, budget);
-        assert_eq!(seq.utility.to_bits(), par.utility.to_bits());
-        assert_eq!(seq.amounts.len(), par.amounts.len());
-        for (a, b) in seq.amounts.iter().zip(&par.amounts) {
-            assert_eq!(a.to_bits(), b.to_bits(), "amounts diverged: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn parallel_is_bit_identical_across_thread_counts() {
-        let utils = mixed_pool(par_threshold() + 37);
+        // Above the threshold the pool fan-out actually runs; the
+        // determinism contract promises *exact* equality, not closeness.
+        let utils = mixed_pool(PAR_THRESHOLD + 37);
         let budget = 0.2 * 100.0 * utils.len() as f64;
-        let reference = rayon::with_threads(1, || allocate_par(&utils, budget));
+        let reference = rayon::with_threads(1, || allocate(&utils, budget));
         for threads in [2, 4, 8] {
-            let got = rayon::with_threads(threads, || allocate_par(&utils, budget));
-            assert_eq!(reference, got, "{threads} threads");
+            let got = rayon::with_threads(threads, || allocate(&utils, budget));
+            assert_eq!(reference.utility.to_bits(), got.utility.to_bits(), "{threads} threads");
+            for (a, b) in reference.amounts.iter().zip(&got.amounts) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads: {a} vs {b}");
+            }
         }
     }
 
     #[test]
     fn parallel_exhausts_budget() {
-        let utils: Vec<Power> = (0..par_threshold() + 1)
+        let utils: Vec<Power> = (0..PAR_THRESHOLD + 1)
             .map(|i| Power::new(1.0 + (i % 5) as f64, 0.5, 50.0))
             .collect();
         let budget = 10_000.0;
-        let a = allocate_par(&utils, budget);
+        let a = allocate(&utils, budget);
         assert!((a.total_allocated() - budget).abs() < 1e-3);
     }
 
     #[test]
     fn parallel_saturation_fast_path_matches() {
-        // budget ≥ Σ caps takes the early-return branch in both paths.
-        let utils = mixed_pool(par_threshold() + 3);
+        // budget ≥ Σ caps takes the early-return branch at every width.
+        let utils = mixed_pool(PAR_THRESHOLD + 3);
         let budget = 101.0 * utils.len() as f64;
-        let seq = allocate(&utils, budget);
-        let par = allocate_par(&utils, budget);
+        let seq = rayon::with_threads(1, || allocate(&utils, budget));
+        let par = rayon::with_threads(8, || allocate(&utils, budget));
         assert_eq!(seq, par);
     }
 
     #[test]
-    fn par_interruptible_with_clear_token_is_bit_identical() {
-        let utils = mixed_pool(par_threshold() + 51);
+    fn checked_with_clear_token_is_bit_identical() {
+        let utils = mixed_pool(PAR_THRESHOLD + 51);
         let budget = 0.25 * 100.0 * utils.len() as f64;
-        let plain = allocate_par(&utils, budget);
+        let plain = allocate(&utils, budget);
         let token = rayon::CancelToken::new();
         for threads in [1, 4] {
             let got = rayon::with_threads(threads, || {
-                allocate_par_interruptible(&utils, budget, &token, &mut || {
+                allocate_checked(&utils, budget, Some(&token), &mut || {
                     Ok::<(), Interrupted>(())
                 })
             })
@@ -1083,14 +1001,14 @@ mod par_tests {
     }
 
     #[test]
-    fn par_interruptible_pre_cancelled_token_reports_interrupted() {
+    fn checked_pre_cancelled_token_reports_interrupted() {
         // A token fired externally (no check of our own erring) surfaces
         // as the Interrupted marker, not a panic or a bogus allocation.
-        let utils = mixed_pool(par_threshold() + 8);
+        let utils = mixed_pool(PAR_THRESHOLD + 8);
         let token = rayon::CancelToken::new();
         token.cancel();
         let result = rayon::with_threads(4, || {
-            allocate_par_interruptible(&utils, 500.0, &token, &mut || {
+            allocate_checked(&utils, 500.0, Some(&token), &mut || {
                 Ok::<(), Interrupted>(())
             })
         });
@@ -1116,6 +1034,16 @@ mod warm_tests {
             .collect()
     }
 
+    /// An unchecked warm allocation.
+    fn warm<U: Utility>(
+        utils: &[U],
+        budget: f64,
+        cache: &mut WarmCache,
+        amounts: &mut Vec<f64>,
+    ) -> WarmStats {
+        expect_complete(allocate_warm_into(utils, budget, cache, amounts, None, &mut unchecked))
+    }
+
     fn assert_bits_eq(cold: &Allocation, warm: &[f64], ctx: &str) {
         assert_eq!(cold.amounts.len(), warm.len(), "{ctx}");
         for (i, (a, b)) in cold.amounts.iter().zip(warm).enumerate() {
@@ -1129,7 +1057,7 @@ mod warm_tests {
         for budget in [0.0, 1.0, 37.5, 400.0, 1999.0] {
             let mut cache = WarmCache::new();
             let mut amounts = Vec::new();
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("budget {budget}"));
             assert!(cache.price().is_some(), "budget {budget}: no price pinned");
         }
@@ -1141,7 +1069,7 @@ mod warm_tests {
         let total_cap = 12.0 * 80.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        let stats = allocate_warm_into(&utils, total_cap + 1.0, &mut cache, &mut amounts);
+        let stats = warm(&utils, total_cap + 1.0, &mut cache, &mut amounts);
         assert_eq!(stats.demand_maps, 0);
         assert_bits_eq(&allocate(&utils, total_cap + 1.0), &amounts, "saturated");
         assert!(cache.price().is_none(), "saturation must not pin a price");
@@ -1154,8 +1082,8 @@ mod warm_tests {
         let budget = 900.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
-        let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+        warm(&utils, budget, &mut cache, &mut amounts);
+        let stats = warm(&utils, budget, &mut cache, &mut amounts);
         assert_eq!(stats.demand_maps, 2);
         assert_bits_eq(&allocate(&utils, budget), &amounts, "repeat");
     }
@@ -1171,14 +1099,14 @@ mod warm_tests {
         let mut amounts = Vec::new();
         let cold_maps = {
             let utils = pool(48, 0.0);
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts).demand_maps
+            warm(&utils, budget, &mut cache, &mut amounts).demand_maps
         };
         let mut warm_total = 0;
         let epochs = 11;
         for epoch in 1..=epochs {
             // Small multiplicative drift in the utility scales each epoch.
             let utils = pool(48, 0.003 * epoch as f64);
-            let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            let stats = warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("epoch {epoch}"));
             assert!(
                 stats.demand_maps < cold_maps,
@@ -1217,10 +1145,10 @@ mod warm_tests {
         let budget = 700.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        let cold_maps = allocate_warm_into(&smooth(0.0), budget, &mut cache, &mut amounts).demand_maps;
+        let cold_maps = warm(&smooth(0.0), budget, &mut cache, &mut amounts).demand_maps;
         for epoch in 1..12 {
             let utils = smooth(0.003 * epoch as f64);
-            let stats = allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            let stats = warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("epoch {epoch}"));
             assert!(
                 stats.demand_maps <= 12 && stats.demand_maps < cold_maps,
@@ -1235,9 +1163,9 @@ mod warm_tests {
         let utils = pool(32, 0.0);
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&utils, 500.0, &mut cache, &mut amounts);
+        warm(&utils, 500.0, &mut cache, &mut amounts);
         for budget in [520.0, 480.0, 600.0, 300.0, 550.0] {
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("budget {budget}"));
         }
     }
@@ -1250,10 +1178,10 @@ mod warm_tests {
         let budget = 420.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&pool(40, 0.0), budget, &mut cache, &mut amounts);
+        warm(&pool(40, 0.0), budget, &mut cache, &mut amounts);
         for n in [41, 39, 44, 36, 40] {
             let utils = pool(n, 0.001);
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("n {n}"));
         }
     }
@@ -1264,11 +1192,11 @@ mod warm_tests {
         let budget = 300.0;
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+        warm(&utils, budget, &mut cache, &mut amounts);
         assert!(cache.price().is_some());
 
         let mut fuel = 1_u32;
-        let result = allocate_warm_into_interruptible(&utils, budget, &mut cache, &mut amounts, &mut || {
+        let result = allocate_warm_into(&utils, budget, &mut cache, &mut amounts, None, &mut || {
             if fuel == 0 {
                 Err(Interrupted)
             } else {
@@ -1280,7 +1208,7 @@ mod warm_tests {
         assert!(cache.price().is_none(), "abort must leave the cache cold");
 
         // Recovery: a quiet call starts cold and is still exact.
-        allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+        warm(&utils, budget, &mut cache, &mut amounts);
         assert_bits_eq(&allocate(&utils, budget), &amounts, "recovery");
     }
 
@@ -1290,7 +1218,7 @@ mod warm_tests {
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
         for budget in [200.0, 16.0 * 80.0 + 5.0, 210.0, 205.0] {
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
             assert_bits_eq(&allocate(&utils, budget), &amounts, &format!("budget {budget}"));
         }
     }
@@ -1303,7 +1231,7 @@ mod warm_tests {
         let utils = pool(50, 0.0);
         let mut cache = WarmCache::new();
         let mut amounts = Vec::new();
-        allocate_warm_into(&utils, 444.0, &mut cache, &mut amounts);
+        warm(&utils, 444.0, &mut cache, &mut amounts);
         let caps_before = (
             amounts.capacity(),
             cache.caps.capacity(),
@@ -1312,7 +1240,7 @@ mod warm_tests {
             cache.d_probe.capacity(),
         );
         for budget in [444.0, 450.0, 440.0, 444.0] {
-            allocate_warm_into(&utils, budget, &mut cache, &mut amounts);
+            warm(&utils, budget, &mut cache, &mut amounts);
         }
         let caps_after = (
             amounts.capacity(),

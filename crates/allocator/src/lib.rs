@@ -42,7 +42,7 @@ use aa_utility::Utility;
 pub use bisection::{
     discrete_ladder_bracket, Interrupted, WarmCache, WarmStats,
 };
-pub use tuning::{par_threshold, DEFAULT_PAR_THRESHOLD};
+pub use tuning::PAR_THRESHOLD;
 
 /// Result of a single-pool allocation.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use aa_allocator::bisection::{allocate, allocate_generic, allocate_par, allocate_warm_into};
+use aa_allocator::bisection::{allocate, allocate_generic, allocate_warm_into, Interrupted};
 use aa_allocator::{bisection, exact_dp, greedy, segment, WarmCache};
 use aa_utility::{
     CappedLinear, DemandTable, DynUtility, LogUtility, Pchip, PiecewiseLinear, Power, Utility,
@@ -243,16 +243,20 @@ proptest! {
         assert_bits(&allocate_generic(&utils, budget).amounts, &reference, "generic")?;
         let mut cache = WarmCache::new();
         let mut warm = Vec::new();
-        allocate_warm_into(&utils, budget, &mut cache, &mut warm);
+        allocate_warm_into(&utils, budget, &mut cache, &mut warm, None, &mut || {
+            Ok::<(), Interrupted>(())
+        })
+        .unwrap();
         assert_bits(&warm, &reference, "warm")?;
     }
 }
 
 /// Above the pool threshold the parallel sweeps run; a PCHIP-heavy mix
-/// must still match the halving search at 1, 2 and 8 pool threads.
+/// must match the halving search at pool width 1, and widths 2 and 8
+/// must match width 1.
 #[test]
 fn parallel_root_finder_matches_halving_on_paper_pchip() {
-    let n = aa_allocator::par_threshold() + 123;
+    let n = aa_allocator::PAR_THRESHOLD + 123;
     let utils: Vec<DynUtility> = (0..n)
         .map(|i| {
             let v = 1.0 + (i % 97) as f64 * 0.37;
@@ -265,9 +269,14 @@ fn parallel_root_finder_matches_halving_on_paper_pchip() {
         .collect();
     let budget = 0.3 * 1000.0 * n as f64;
     let reference = halving_reference(&utils, budget);
-    for threads in [1, 2, 8] {
-        let got = rayon::with_threads(threads, || allocate_par(&utils, budget));
-        for (i, (g, w)) in got.amounts.iter().zip(&reference).enumerate() {
+    let width1 = rayon::with_threads(1, || allocate(&utils, budget));
+    for (i, (g, w)) in width1.amounts.iter().zip(&reference).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "width 1 vs halving: amounts[{i}]");
+    }
+    for threads in [2, 8] {
+        let got = rayon::with_threads(threads, || allocate(&utils, budget));
+        assert_eq!(width1.utility.to_bits(), got.utility.to_bits(), "{threads} threads");
+        for (i, (g, w)) in got.amounts.iter().zip(&width1.amounts).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "{threads} threads: amounts[{i}]");
         }
     }

@@ -519,9 +519,10 @@ pub struct BenchEntry {
     pub threads: usize,
     /// Instance seed (derived from the base seed and the entry index).
     pub seed: u64,
-    /// Minimum wall time of the sequential solve, milliseconds.
+    /// Minimum wall time of `algo2::solve` on a one-thread pool (the
+    /// sequential arm), milliseconds.
     pub seq_millis: f64,
-    /// Minimum wall time of the parallel solve, milliseconds.
+    /// Minimum wall time of `algo2::solve` on the full pool, milliseconds.
     pub par_millis: f64,
     /// `seq_millis / par_millis`.
     pub speedup: f64,
@@ -716,7 +717,7 @@ fn bench_distributions() -> Vec<(&'static str, Distribution)> {
 
 /// Matrix sizes: the small cell stays under the allocator's parallel
 /// threshold (it measures overhead, not speedup); the large cell's
-/// `n = 8192` clears [`aa_allocator::par_threshold`] so the
+/// `n = 8192` clears [`aa_allocator::PAR_THRESHOLD`] so the
 /// pool path genuinely runs.
 fn bench_sizes(small_only: bool) -> Vec<(&'static str, usize, usize)> {
     if small_only {
@@ -1016,7 +1017,7 @@ fn scale_entry(
     let n = problem.len();
     let reps = if n >= 500_000 { 1 } else { reps.max(1) };
 
-    let (algo2_millis, a2) = time_best(reps, || algo2::solve_par(&problem));
+    let (algo2_millis, a2) = time_best(reps, || algo2::solve(&problem));
     let mut price_millis = f64::INFINITY;
     let mut price_a = None;
     let mut stats = aa_core::PriceStats::default();
@@ -1031,7 +1032,7 @@ fn scale_entry(
     let price_a = price_a.expect("reps ≥ 1");
     let algo2_utility = a2.total_utility(&problem);
     let price_utility = price_a.total_utility(&problem);
-    let superopt_bound = superopt::super_optimal_par(&problem).utility;
+    let superopt_bound = superopt::super_optimal(&problem).utility;
 
     // Per-iteration sweep timing: one full-width demand sweep,
     // sequential vs through the pool, minimum over reps and probe
@@ -1133,7 +1134,7 @@ fn scale_entry(
 }
 
 /// Run the fixed benchmark matrix: every paper distribution × every size
-/// × {sequential, parallel} Algorithm 2, on instances derived
+/// × Algorithm 2 at pool width 1 and at the full pool, on instances derived
 /// deterministically from `opts.seed`. Timing varies run to run; every
 /// other field is reproducible, and `identical` is `true` in every entry
 /// by the determinism contract (the binary test and CI smoke job fail
@@ -1155,8 +1156,10 @@ pub fn bench_document(opts: &BenchOpts) -> Result<BenchReport, CliError> {
                 .generate(&mut rng)
                 .map_err(CliError::Problem)?;
 
-            let (seq_millis, seq) = time_best(opts.reps, || algo2::solve(&problem));
-            let (par_millis, par) = time_best(opts.reps, || algo2::solve_par(&problem));
+            // One entry, two pool widths: width 1 is the sequential arm.
+            let (seq_millis, seq) =
+                time_best(opts.reps, || rayon::with_threads(1, || algo2::solve(&problem)));
+            let (par_millis, par) = time_best(opts.reps, || algo2::solve(&problem));
             let seq_utility = seq.total_utility(&problem);
             let par_utility = par.total_utility(&problem);
             let so_bound = superopt::super_optimal(&problem).utility;

@@ -203,26 +203,61 @@ fn pretty_flag_pretty_prints() {
     assert!(text.contains('\n') && text.contains("  "), "not pretty-printed");
 }
 
+/// Scheduling knobs change where work runs, never the answer: a
+/// generated n = 2400 problem solves to the same bytes under the
+/// default pool, a one-thread pool, and a lowered parallel threshold in
+/// the environment (which the solver must ignore), for both backends.
+#[test]
+fn solutions_are_byte_identical_under_scheduling_knobs() {
+    let dir = tempdir();
+    let path = dir.join("knobs-2400.json");
+    let gen = bin()
+        .args([
+            "generate", "--servers", "8", "--beta", "300", "--capacity", "1000",
+            "--dist", "uniform", "--seed", "3",
+        ])
+        .output()
+        .unwrap();
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    std::fs::write(&path, &gen.stdout).unwrap();
+    for solver in ["price", "algo2"] {
+        let solve = |env: Option<(&str, &str)>| {
+            let mut cmd = bin();
+            cmd.args(["solve", path.to_str().unwrap(), "--solver", solver]);
+            cmd.env_remove("AA_PAR_THRESHOLD").env_remove("AA_NUM_THREADS");
+            if let Some((key, value)) = env {
+                cmd.env(key, value);
+            }
+            let out = cmd.output().unwrap();
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            out.stdout
+        };
+        let reference = solve(None);
+        for env in [("AA_PAR_THRESHOLD", "1024"), ("AA_NUM_THREADS", "1")] {
+            assert!(reference == solve(Some(env)), "{solver} changed under {}={}", env.0, env.1);
+        }
+    }
+}
+
 #[test]
 fn bench_small_writes_valid_schema_with_matching_utilities() {
     let dir = tempdir();
     let out_path = dir.join("BENCH_solver.json");
-    let run = || -> serde_json::Value {
-        let out = bin()
-            .args([
-                "bench", "--small", "--mode", "matrix", "--reps", "20", "--seed", "5",
-                "--out", out_path.to_str().unwrap(),
-            ])
-            .output()
-            .expect("binary runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        // The human summary goes to stderr; the JSON goes to the file.
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("speedup="), "missing summary: {err}");
-        serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap()
-    };
-
-    let report = run();
+    // A functional test: schema, identity and quality only. The
+    // par ≥ 0.95× seq timing gate lives in the CI bench-smoke job.
+    let out = bin()
+        .args([
+            "bench", "--small", "--mode", "matrix", "--reps", "2", "--seed", "5",
+            "--out", out_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // The human summary goes to stderr; the JSON goes to the file.
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("speedup="), "missing summary: {err}");
+    let report: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
     assert_eq!(report["version"].as_u64(), Some(5));
     assert_eq!(report["solver"], "algo2");
     assert!(report["pool_threads"].as_u64().unwrap() >= 1);
@@ -270,27 +305,6 @@ fn bench_small_writes_valid_schema_with_matching_utilities() {
     assert_eq!(e["identical"].as_bool(), Some(true), "{e:?}");
     assert!(e["ladder_micros"].as_f64().unwrap() >= 0.0);
     assert!(e["generic_micros"].as_f64().unwrap() >= 0.0);
-
-    // Every matrix entry must hold par ≥ 0.95× seq. Small instances sit
-    // below the parallel threshold, where `solve_par` falls straight
-    // through to the sequential path — identical code, so any shortfall
-    // is pure timing noise. Retry the whole bench before declaring a
-    // real (systematic) slowdown.
-    let all_fast = |r: &serde_json::Value| {
-        r["entries"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .all(|e| e["speedup"].as_f64().unwrap() >= 0.95)
-    };
-    let mut ok = all_fast(&report);
-    for _ in 0..2 {
-        if ok {
-            break;
-        }
-        ok = all_fast(&run());
-    }
-    assert!(ok, "parallel slowdown persisted across three bench runs");
 }
 
 #[test]

@@ -14,47 +14,20 @@
 
 use aa_utility::{Linearized, Utility};
 
-use crate::budget::Budget;
-use crate::linearize::{linearize, linearize_par};
+use crate::linearize::linearize;
 use crate::problem::{Assignment, Problem};
-use crate::solver::SolveError;
-use crate::superopt::{super_optimal, super_optimal_budgeted, super_optimal_par, SuperOptimal};
+use crate::superopt::{super_optimal, SuperOptimal};
 
 /// Run the complete Algorithm 1 pipeline: super-optimal allocation →
-/// linearization → greedy assignment.
+/// linearization → greedy assignment. The first two stages fan out over
+/// the pool once `n ≥ `[`PAR_THRESHOLD`](aa_allocator::PAR_THRESHOLD);
+/// the greedy stays sequential (it is inherently order-dependent). The
+/// answer is the same bits at every pool width.
 pub fn solve(problem: &Problem) -> Assignment {
     let _span = aa_obs::span!("algo1");
     let so = super_optimal(problem);
     let gs = linearize(problem, &so);
     assign_with(problem, &so, &gs)
-}
-
-/// [`solve`] with the super-optimal allocation and linearization fanned
-/// out over the thread pool; the `O(mn²)`-flavor greedy itself stays
-/// sequential (it is inherently order-dependent). **Bit-identical** to
-/// [`solve`] for every thread count — the pool materializes per-thread
-/// values in index order and reduces sequentially — which the
-/// differential test suite asserts exactly.
-pub fn solve_par(problem: &Problem) -> Assignment {
-    let _span = aa_obs::span!("algo1");
-    let so = super_optimal_par(problem);
-    let gs = linearize_par(problem, &so);
-    assign_with(problem, &so, &gs)
-}
-
-/// [`solve_par`] under a solve [`Budget`]: the super-optimal bisection
-/// checks the budget per iteration (and its pool fan-outs watch the
-/// budget's cancel token), and the greedy assignment checks it once per
-/// round. While the budget holds the result is **bit-identical** to
-/// [`solve_par`] (and hence [`solve`]); expiry surfaces as
-/// [`SolveError::DeadlineExceeded`], external cancellation as
-/// [`SolveError::Cancelled`] — never a half-built assignment.
-pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, SolveError> {
-    let _span = aa_obs::span!("algo1");
-    let so = super_optimal_budgeted(problem, budget)?;
-    budget.check()?;
-    let gs = linearize_par(problem, &so);
-    assign_with_budgeted(problem, &so, &gs, budget)
 }
 
 /// The greedy assignment phase, given precomputed `ĉ` and `g`.
@@ -63,31 +36,6 @@ pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, 
 /// lowest index wins; among equally-attractive servers the one with the
 /// most remaining resource wins, then the lowest index. Deterministic.
 pub fn assign_with(problem: &Problem, so: &SuperOptimal, gs: &[Linearized]) -> Assignment {
-    match assign_impl(problem, so, gs, None) {
-        Ok(a) => a,
-        Err(_) => unreachable!("unbudgeted assignment cannot fail"),
-    }
-}
-
-/// [`assign_with`] with a per-round budget check. Bit-identical to
-/// [`assign_with`] while the budget holds — the check does not touch the
-/// greedy's numerics or tie-breaking.
-pub fn assign_with_budgeted(
-    problem: &Problem,
-    so: &SuperOptimal,
-    gs: &[Linearized],
-    budget: &Budget,
-) -> Result<Assignment, SolveError> {
-    assign_impl(problem, so, gs, Some(budget))
-}
-
-/// Shared greedy core; `budget: None` never fails.
-fn assign_impl(
-    problem: &Problem,
-    so: &SuperOptimal,
-    gs: &[Linearized],
-    budget: Option<&Budget>,
-) -> Result<Assignment, SolveError> {
     let n = problem.len();
     let m = problem.servers();
     assert_eq!(so.amounts.len(), n, "ĉ must cover every thread");
@@ -99,9 +47,6 @@ fn assign_impl(
     let mut amount = vec![0.0_f64; n];
 
     for _round in 0..n {
-        if let Some(b) = budget {
-            b.check()?;
-        }
         // The server with the most remaining resource (ties: lowest index).
         let (j_max, &c_max) = remaining
             .iter()
@@ -156,7 +101,7 @@ fn assign_impl(
         remaining[j_max] = 0.0;
     }
 
-    Ok(Assignment { server, amount })
+    Assignment { server, amount }
 }
 
 /// A literal transcription of the paper's Algorithm 1 pseudocode —
@@ -375,34 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn solve_par_is_bit_identical() {
+    fn solve_is_bit_identical_across_pool_widths() {
         let p = Problem::builder(3, 6.0)
             .threads((0..40).map(|i| arc(Power::new(1.0 + (i % 5) as f64, 0.6, 6.0))))
             .build()
             .unwrap();
-        let seq = solve(&p);
-        for threads in [1, 2, 8] {
-            let par = rayon::with_threads(threads, || solve_par(&p));
+        let seq = rayon::with_threads(1, || solve(&p));
+        for threads in [2, 8] {
+            let par = rayon::with_threads(threads, || solve(&p));
             assert_eq!(seq, par, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn budgeted_solve_matches_plain_and_types_expiry() {
-        let p = Problem::builder(2, 7.0)
-            .threads((0..9).map(|i| arc(Power::new(1.0 + (i % 3) as f64, 0.5, 7.0))))
-            .build()
-            .unwrap();
-        let plain = solve(&p);
-        let roomy = solve_budgeted(&p, &crate::Budget::unlimited()).unwrap();
-        assert_eq!(plain, roomy);
-        // Enough fuel to finish the super-optimal bisection but not the
-        // greedy: expiry mid-assignment is typed, never a partial result.
-        for fuel in [0, 1, 3, 50, 130, 135] {
-            match solve_budgeted(&p, &crate::Budget::with_fuel(fuel)) {
-                Ok(a) => assert_eq!(a, plain, "fuel {fuel}"),
-                Err(e) => assert_eq!(e, SolveError::DeadlineExceeded, "fuel {fuel}"),
-            }
         }
     }
 

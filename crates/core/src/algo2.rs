@@ -24,13 +24,14 @@ use aa_utility::num::OrdF64;
 use aa_utility::{Linearized, Utility};
 
 use crate::budget::Budget;
-use crate::linearize::{linearize, linearize_par};
+use crate::linearize::linearize;
 use crate::problem::{Assignment, Problem};
 use crate::solver::SolveError;
-use crate::superopt::{super_optimal, super_optimal_budgeted, super_optimal_par, SuperOptimal};
+use crate::superopt::{super_optimal_with, SuperOptimal};
 
 /// Run the complete Algorithm 2 pipeline: super-optimal allocation →
-/// linearization → sorted heap assignment.
+/// linearization → sorted heap assignment: [`solve_with`] without a
+/// budget.
 ///
 /// # Example
 ///
@@ -55,45 +56,16 @@ use crate::superopt::{super_optimal, super_optimal_budgeted, super_optimal_par, 
 /// assert!(assignment.total_utility(&problem) >= ALPHA * bound - 1e-9);
 /// ```
 pub fn solve(problem: &Problem) -> Assignment {
-    let _span = aa_obs::span!("algo2");
-    if aa_obs::record_enabled() {
-        solve_counter().inc();
+    match solve_with(problem, None) {
+        Ok(a) => a,
+        Err(_) => unreachable!("an unbudgeted Algorithm 2 solve cannot fail"),
     }
-    let so = super_optimal(problem);
-    let gs = linearize(problem, &so);
-    assign_with(problem, &so, &gs)
 }
 
 /// Cached handle for the `aa_solve_total{solver="algo2"}` counter.
 fn solve_counter() -> &'static aa_obs::Counter {
     static HANDLE: std::sync::OnceLock<aa_obs::Counter> = std::sync::OnceLock::new();
     HANDLE.get_or_init(|| aa_obs::global().counter_labeled("aa_solve_total", "solver", "algo2"))
-}
-
-/// [`solve`] with the super-optimal allocation and linearization fanned
-/// out over the thread pool — the assignment phase itself is
-/// `O(n log n)` and stays sequential. Intended for very large instances
-/// (`n` beyond ~10⁴). **Bit-identical** to [`solve`] for every thread
-/// count: the vendored pool materializes per-thread values in index
-/// order and reduces sequentially, so `AA_NUM_THREADS` (or a scoped
-/// `rayon::with_threads`) may change timing, never output. The
-/// differential test suite asserts exact equality.
-///
-/// Below the allocator's parallel threshold this is [`solve`] verbatim:
-/// small instances skip the pool plumbing entirely instead of paying
-/// fan-out overhead for maps that finish in microseconds (the benchmark
-/// suite asserts no small-instance slowdown).
-pub fn solve_par(problem: &Problem) -> Assignment {
-    if problem.len() < aa_allocator::par_threshold() {
-        return solve(problem);
-    }
-    let _span = aa_obs::span!("algo2");
-    if aa_obs::record_enabled() {
-        solve_counter().inc();
-    }
-    let so = super_optimal_par(problem);
-    let gs = linearize_par(problem, &so);
-    assign_with(problem, &so, &gs)
 }
 
 /// Incremental Algorithm 2: **bit-identical** to [`solve`], but
@@ -109,23 +81,32 @@ pub fn solve_incremental(
     crate::incremental::solve_incremental(problem, state)
 }
 
-/// [`solve_par`] under a solve [`Budget`]: the super-optimal bisection
-/// checks the budget per iteration (its pool fan-outs watch the budget's
-/// cancel token and abandon unclaimed chunks when it fires), and the
-/// placement loop checks it once per heap pop. While the budget holds
-/// the result is **bit-identical** to [`solve_par`] (and hence
-/// [`solve`]); expiry surfaces as [`SolveError::DeadlineExceeded`],
+/// Algorithm 2 under an optional solve [`Budget`]. The super-optimal
+/// allocation and linearization fan out over the pool once
+/// `n ≥ `[`PAR_THRESHOLD`](aa_allocator::PAR_THRESHOLD); the
+/// `O(n log n)` assignment stays sequential. The vendored pool writes
+/// per-thread values in index order and reduces sequentially, so the
+/// pool width (`AA_NUM_THREADS`, or a scoped `rayon::with_threads`) may
+/// change timing, never output.
+///
+/// With a budget, the super-optimal search checks it per iteration (its
+/// pool fan-outs watch the budget's cancel token and abandon unclaimed
+/// chunks when it fires), and the placement loop checks it once per
+/// heap pop. While the budget holds the result is **bit-identical** to
+/// [`solve`]; expiry surfaces as [`SolveError::DeadlineExceeded`],
 /// external cancellation as [`SolveError::Cancelled`] — never a
 /// half-built assignment.
-pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, SolveError> {
+pub fn solve_with(problem: &Problem, budget: Option<&Budget>) -> Result<Assignment, SolveError> {
     let _span = aa_obs::span!("algo2");
     if aa_obs::record_enabled() {
         solve_counter().inc();
     }
-    let so = super_optimal_budgeted(problem, budget)?;
-    budget.check()?;
-    let gs = linearize_par(problem, &so);
-    assign_with_budgeted(problem, &so, &gs, budget)
+    let so = super_optimal_with(problem, budget)?;
+    if let Some(b) = budget {
+        b.check()?;
+    }
+    let gs = linearize(problem, &so);
+    assign_impl(problem, &so, &gs, budget)
 }
 
 /// The assignment phase of Algorithm 2, given precomputed `ĉ` and `g`.
@@ -137,18 +118,6 @@ pub fn assign_with(problem: &Problem, so: &SuperOptimal, gs: &[Linearized]) -> A
         Ok(a) => a,
         Err(_) => unreachable!("unbudgeted assignment cannot fail"),
     }
-}
-
-/// [`assign_with`] with a per-placement budget check. Bit-identical to
-/// [`assign_with`] while the budget holds — the check does not touch the
-/// sorts, the heap order, or the allocated amounts.
-pub fn assign_with_budgeted(
-    problem: &Problem,
-    so: &SuperOptimal,
-    gs: &[Linearized],
-    budget: &Budget,
-) -> Result<Assignment, SolveError> {
-    assign_impl(problem, so, gs, Some(budget))
 }
 
 /// Shared assignment core; `budget: None` never fails.
@@ -207,6 +176,7 @@ mod tests {
 
     use aa_utility::{CappedLinear, LogUtility, Power};
 
+    use crate::superopt::super_optimal;
     use crate::ALPHA;
 
     fn arc<U: Utility + 'static>(u: U) -> aa_utility::DynUtility {
@@ -345,10 +315,10 @@ mod tests {
             .build()
             .unwrap();
         let plain = solve(&p);
-        let roomy = solve_budgeted(&p, &crate::Budget::unlimited()).unwrap();
+        let roomy = solve_with(&p, Some(&crate::Budget::unlimited())).unwrap();
         assert_eq!(plain, roomy);
         for fuel in [0, 1, 4, 60, 131, 138] {
-            match solve_budgeted(&p, &crate::Budget::with_fuel(fuel)) {
+            match solve_with(&p, Some(&crate::Budget::with_fuel(fuel))) {
                 Ok(a) => assert_eq!(a, plain, "fuel {fuel}"),
                 Err(e) => assert_eq!(e, SolveError::DeadlineExceeded, "fuel {fuel}"),
             }
@@ -364,7 +334,7 @@ mod tests {
         let budget = crate::Budget::unlimited();
         budget.cancel_token().cancel();
         assert_eq!(
-            solve_budgeted(&p, &budget),
+            solve_with(&p, Some(&budget)),
             Err(SolveError::Cancelled)
         );
     }
@@ -390,12 +360,14 @@ mod par_tests {
 
     use aa_utility::{LogUtility, Power};
 
+    use crate::superopt::super_optimal;
+
     #[test]
-    fn solve_par_is_bit_identical_on_large_instance() {
+    fn solve_is_bit_identical_across_pool_widths_on_large_instance() {
         // Above the allocator's parallel threshold, so the pool path
         // actually runs. The determinism contract is exact equality —
-        // not closeness — at every thread count.
-        let n = aa_allocator::par_threshold() + 904;
+        // not closeness — at every pool width.
+        let n = aa_allocator::PAR_THRESHOLD + 904;
         let p = Problem::builder(16, 100.0)
             .threads((0..n).map(|i| {
                 let s = 0.5 + i as f64 * 1e-3;
@@ -407,11 +379,11 @@ mod par_tests {
             }))
             .build()
             .unwrap();
-        let seq = solve(&p);
-        for threads in [1, 2, 8] {
-            let par = rayon::with_threads(threads, || solve_par(&p));
+        let seq = rayon::with_threads(1, || solve(&p));
+        for threads in [2, 8] {
+            let par = rayon::with_threads(threads, || solve(&p));
             par.validate(&p).unwrap();
-            assert_eq!(seq, par, "{threads} threads diverged from sequential");
+            assert_eq!(seq, par, "{threads} threads diverged from width 1");
         }
         let bound = super_optimal(&p).utility;
         assert!(seq.total_utility(&p) >= crate::ALPHA * bound - 1e-6 * bound);
@@ -422,7 +394,7 @@ mod par_tests {
         // Above the allocator's parallel threshold the budgeted path runs
         // the cancellable pool fan-out; with a roomy budget it must still
         // match the plain solve bit for bit.
-        let n = aa_allocator::par_threshold() + 117;
+        let n = aa_allocator::PAR_THRESHOLD + 117;
         let p = Problem::builder(8, 50.0)
             .threads((0..n).map(|i| {
                 Arc::new(Power::new(0.5 + (i % 13) as f64 * 0.2, 0.6, 50.0))
@@ -430,24 +402,13 @@ mod par_tests {
             }))
             .build()
             .unwrap();
-        let seq = solve(&p);
+        let seq = rayon::with_threads(1, || solve(&p));
         for threads in [1, 4] {
             let got = rayon::with_threads(threads, || {
-                solve_budgeted(&p, &crate::Budget::unlimited())
+                solve_with(&p, Some(&crate::Budget::unlimited()))
             })
             .unwrap();
             assert_eq!(seq, got, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn solve_par_small_instances_identical() {
-        let p = Problem::builder(2, 10.0)
-            .threads((0..5).map(|i| {
-                Arc::new(Power::new(1.0 + i as f64, 0.5, 10.0)) as aa_utility::DynUtility
-            }))
-            .build()
-            .unwrap();
-        assert_eq!(solve(&p), solve_par(&p));
     }
 }

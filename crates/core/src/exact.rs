@@ -80,7 +80,8 @@ pub fn solve(problem: &Problem) -> Assignment {
     let best_server = search.best_server;
 
     // Rebuild the winning allocation.
-    let amount = allocate_groups(problem, &views, &best_server);
+    let amount = allocate_groups(problem, &views, &best_server, None)
+        .expect("an unbudgeted re-split cannot fail");
     Assignment {
         server: best_server,
         amount,
@@ -91,69 +92,6 @@ pub fn solve(problem: &Problem) -> Assignment {
 pub fn optimal_utility(problem: &Problem) -> f64 {
     let a = solve(problem);
     a.total_utility(problem)
-}
-
-/// [`solve`] under a solve [`Budget`], checked once per DFS node.
-///
-/// **Strict**: exhaustive search has no meaningful partial answer (an
-/// unexplored subtree may hold the optimum), so expiry returns
-/// [`SolveError::DeadlineExceeded`] rather than a possibly-suboptimal
-/// assignment — use [`exact_bb::solve_budgeted`](crate::exact_bb) for an
-/// anytime incumbent. Oversized instances return
-/// [`SolveError::TooLarge`] instead of panicking.
-pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, SolveError> {
-    let n = problem.len();
-    if n > MAX_THREADS {
-        return Err(SolveError::TooLarge { threads: n, limit: MAX_THREADS });
-    }
-    budget.check()?;
-    let m = problem.servers();
-    let views: Vec<CappedView> = problem.capped_threads();
-    let mut server = vec![0_usize; n];
-
-    struct Search<'a> {
-        problem: &'a Problem,
-        views: &'a [CappedView],
-        budget: &'a Budget,
-        n: usize,
-        m: usize,
-        best_utility: f64,
-        best_server: Vec<usize>,
-    }
-
-    impl Search<'_> {
-        fn dfs(&mut self, i: usize, used: usize, server: &mut Vec<usize>) -> Result<(), SolveError> {
-            self.budget.check()?;
-            if i == self.n {
-                let utility = grouped_utility(self.problem, self.views, server, used);
-                if utility > self.best_utility {
-                    self.best_utility = utility;
-                    self.best_server.clone_from(server);
-                }
-                return Ok(());
-            }
-            let limit = (used + 1).min(self.m);
-            for j in 0..limit {
-                server[i] = j;
-                self.dfs(i + 1, used.max(j + 1), server)?;
-            }
-            Ok(())
-        }
-    }
-
-    let mut search = Search {
-        problem,
-        views: &views,
-        budget,
-        n,
-        m,
-        best_utility: f64::NEG_INFINITY,
-        best_server: vec![0_usize; n],
-    };
-    search.dfs(0, 0, &mut server)?;
-    let best_server = search.best_server;
-    let amount = allocate_groups(problem, &views, &best_server);
-    Ok(Assignment { server: best_server, amount })
 }
 
 /// Total utility of a placement with per-server optimal allocations.
@@ -179,46 +117,32 @@ fn grouped_utility(
     total
 }
 
-/// Optimal per-server allocation amounts for a given placement.
-pub fn allocate_groups(problem: &Problem, views: &[CappedView], server: &[usize]) -> Vec<f64> {
-    let mut amount = vec![0.0_f64; server.len()];
-    for j in 0..problem.servers() {
-        let idx: Vec<usize> = (0..server.len()).filter(|&i| server[i] == j).collect();
-        if idx.is_empty() {
-            continue;
-        }
-        let group: Vec<&CappedView> = idx.iter().map(|&i| &views[i]).collect();
-        let alloc = bisection::allocate(&group, problem.capacity());
-        for (&i, &c) in idx.iter().zip(&alloc.amounts) {
-            amount[i] = c;
-        }
-    }
-    amount
-}
-
-/// [`allocate_groups`] under a solve [`Budget`], checked once per server
-/// and at bisection-iteration granularity inside each per-server
-/// allocation. While the budget holds the amounts are **bit-identical**
-/// to [`allocate_groups`] — the budgeted bisection shares the
-/// unbudgeted one's code path exactly.
-pub fn allocate_groups_budgeted(
+/// Optimal per-server allocation amounts for a given placement, under an
+/// optional solve [`Budget`] checked once per server and at
+/// bisection-iteration granularity inside each per-server allocation.
+/// `None` never fails; while a budget holds, the amounts are the same
+/// bits as without one.
+pub fn allocate_groups(
     problem: &Problem,
     views: &[CappedView],
     server: &[usize],
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<Vec<f64>, SolveError> {
     let mut amount = vec![0.0_f64; server.len()];
     for j in 0..problem.servers() {
-        budget.check()?;
+        if let Some(b) = budget {
+            b.check()?;
+        }
         let idx: Vec<usize> = (0..server.len()).filter(|&i| server[i] == j).collect();
         if idx.is_empty() {
             continue;
         }
         let group: Vec<&CappedView> = idx.iter().map(|&i| &views[i]).collect();
-        let alloc = bisection::allocate_interruptible(
+        let alloc = bisection::allocate_checked(
             &group,
             problem.capacity(),
-            &mut || budget.check(),
+            budget.map(Budget::cancel_token),
+            &mut || budget.map_or(Ok(()), Budget::check),
         )?;
         for (&i, &c) in idx.iter().zip(&alloc.amounts) {
             amount[i] = c;
@@ -313,40 +237,11 @@ mod tests {
         let mut best = f64::NEG_INFINITY;
         for code in 0..81_usize {
             let server: Vec<usize> = (0..4).map(|i| (code / 3_usize.pow(i as u32)) % 3).collect();
-            let amount = allocate_groups(&p, &views, &server);
+            let amount = allocate_groups(&p, &views, &server, None).unwrap();
             let a = Assignment { server, amount };
             best = best.max(a.total_utility(&p));
         }
         assert!((fast - best).abs() < 1e-6, "pruned {fast} vs full {best}");
-    }
-
-    #[test]
-    fn budgeted_matches_plain_and_is_strict_about_expiry() {
-        let p = Problem::builder(2, 5.0)
-            .threads((0..6).map(|i| arc(Power::new(1.0 + i as f64, 0.5, 5.0))))
-            .build()
-            .unwrap();
-        let plain = solve(&p);
-        let roomy = solve_budgeted(&p, &crate::Budget::unlimited()).unwrap();
-        assert!((roomy.total_utility(&p) - plain.total_utility(&p)).abs() < 1e-9);
-        // Strict: expiry mid-enumeration is an error, never a
-        // possibly-suboptimal "best so far".
-        assert_eq!(
-            solve_budgeted(&p, &crate::Budget::with_fuel(10)),
-            Err(SolveError::DeadlineExceeded)
-        );
-    }
-
-    #[test]
-    fn budgeted_rejects_oversized_instances_without_panicking() {
-        let p = Problem::builder(2, 1.0)
-            .threads((0..MAX_THREADS + 1).map(|_| arc(Power::new(1.0, 0.5, 1.0))))
-            .build()
-            .unwrap();
-        assert!(matches!(
-            solve_budgeted(&p, &crate::Budget::unlimited()),
-            Err(SolveError::TooLarge { limit: MAX_THREADS, .. })
-        ));
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //!   `O(n + k log k)`. The density re-sort of the tail `[m..]` is
 //!   comparison-only and allocation-free.
 //! * **Arena reuse** — every buffer ([`SolverArena`]) persists across
-//!   solves: once grown to the working size, a steady-state solve
-//!   performs **zero heap allocations** (verified by the allocation
-//!   counting test in `tests/arena_alloc.rs`).
+//!   solves: once grown to the working size, a steady-state solve below
+//!   [`PAR_THRESHOLD`](aa_allocator::PAR_THRESHOLD) threads performs
+//!   **zero heap allocations** (verified by the allocation counting test
+//!   in `tests/arena_alloc.rs`); above it the warm search's fanned-out
+//!   sweeps allocate their chunk list.
 //!
 //! # Crossover heuristic (when to fall back cold)
 //!
@@ -105,7 +107,8 @@ pub struct IncrementalStats {
 /// bisection scratch, `ĉ`, linearizations, sort keys/densities, the
 /// persisted permutation plus merge scratch, heap storage, and the
 /// output columns. Owned by [`WarmState`]; every buffer is reused across
-/// solves, so the steady state allocates nothing.
+/// solves, so below the parallel threshold the steady state allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SolverArena {
     views: Vec<CappedView>,
@@ -465,8 +468,8 @@ pub fn solve_incremental(problem: &Problem, state: &mut WarmState) -> Assignment
 
 /// [`solve_incremental`] writing into a caller-owned [`Assignment`]
 /// (cleared and refilled): together with the arena this makes the
-/// steady-state hot path completely allocation-free once all buffers
-/// have grown to the working size.
+/// steady-state hot path completely allocation-free below the parallel
+/// threshold once all buffers have grown to the working size.
 pub fn solve_incremental_into(problem: &Problem, state: &mut WarmState, out: &mut Assignment) {
     match solve_impl(problem, state, None) {
         Ok(()) => {

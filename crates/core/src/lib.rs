@@ -75,7 +75,7 @@ pub use ring::Ring;
 pub use shard::{
     Fault, ShardCompletion, ShardConfig, ShardError, ShardJob, ShardPool, SubmitError, Worker,
 };
-pub use solver::{batch_seed, solve_batch, try_solve_batch, SolveError, Solver, SolverBackend};
+pub use solver::{batch_seed, solve_batch, try_solve_batch, SolveError, Solver};
 pub use tiered::{Degradation, Tier, TierOutcome, TierStatus, TieredSolve, TieredSolver};
 
 /// The approximation ratio `α = 2(√2 − 1) ≈ 0.8284` guaranteed by

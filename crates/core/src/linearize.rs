@@ -12,25 +12,16 @@
 //!   `α = 2(√2 − 1)` guarantee.
 
 use aa_utility::{Linearized, Utility};
+use aa_allocator::PAR_THRESHOLD;
 use rayon::prelude::*;
 
 use crate::problem::Problem;
 use crate::superopt::SuperOptimal;
 
-/// Thread-count threshold past which [`linearize_par`] fans the
-/// per-thread `g_i` construction out over the pool. Each element costs a
-/// single `f.value(ĉ_i)` evaluation, so small instances are cheaper
-/// sequentially. This is the shared workspace crossover
-/// ([`aa_allocator::tuning`], env-overridable via `AA_PAR_THRESHOLD`,
-/// parsed once) — the bisection's demand sweeps gate on the same value,
-/// so the two stages can no longer silently diverge.
-pub use aa_allocator::tuning::par_threshold;
-
 /// Linearize thread `i` through `c_hat`: the shared per-thread kernel of
-/// [`linearize`], [`linearize_par`] and the incremental delta path
-/// ([`crate::incremental`]), so all three agree bit for bit. Evaluates
-/// the *raw* utility (not the capped view) at `c_hat` and `0`, with
-/// domain `[0, C]` — exactly what the batch builders do.
+/// [`linearize`] and the incremental delta path ([`crate::incremental`]),
+/// so both agree bit for bit. Evaluates the *raw* utility (not the
+/// capped view) at `c_hat` and `0`, with domain `[0, C]`.
 pub fn linearize_one(problem: &Problem, i: usize, c_hat: f64) -> Linearized {
     let f = &problem.threads()[i];
     Linearized::new(c_hat, f.value(c_hat), problem.capacity(), f.value(0.0))
@@ -38,6 +29,12 @@ pub fn linearize_one(problem: &Problem, i: usize, c_hat: f64) -> Linearized {
 
 /// Build the linearized utilities `g_1 … g_n` from a super-optimal
 /// allocation. `g_i` has domain `[0, C]`.
+///
+/// Once the instance has [`PAR_THRESHOLD`] threads the per-thread
+/// construction fans out over the pool. Each `g_i` depends only on
+/// `(f_i, ĉ_i, C)` and the pool's `collect` writes results into their
+/// input positions, so the output is the same bits at every size and
+/// pool width.
 pub fn linearize(problem: &Problem, so: &SuperOptimal) -> Vec<Linearized> {
     let _span = aa_obs::span!("linearize");
     assert_eq!(
@@ -45,39 +42,12 @@ pub fn linearize(problem: &Problem, so: &SuperOptimal) -> Vec<Linearized> {
         problem.len(),
         "super-optimal allocation must cover every thread"
     );
-    (0..problem.len())
-        .map(|i| linearize_one(problem, i, so.amounts[i]))
-        .collect()
-}
-
-/// [`linearize`] with the per-thread `g_i` construction fanned out over
-/// the thread pool once the instance has at least [`par_threshold`]
-/// threads. **Bit-identical** to [`linearize`] for every thread count:
-/// each `g_i` depends only on `(f_i, ĉ_i, C)` and the pool's `collect`
-/// writes results into their input positions.
-pub fn linearize_par(problem: &Problem, so: &SuperOptimal) -> Vec<Linearized> {
-    assert_eq!(
-        so.amounts.len(),
-        problem.len(),
-        "super-optimal allocation must cover every thread"
-    );
-    if problem.len() < par_threshold() {
-        return linearize(problem, so);
+    let one = |i: usize| linearize_one(problem, i, so.amounts[i]);
+    if problem.len() < PAR_THRESHOLD {
+        (0..problem.len()).map(one).collect()
+    } else {
+        (0..problem.len()).into_par_iter().map(one).collect()
     }
-    let _span = aa_obs::span!("linearize");
-    problem
-        .threads()
-        .par_iter()
-        .zip(&so.amounts)
-        .map(|(f, &c_hat)| {
-            Linearized::new(
-                c_hat,
-                f.value(c_hat),
-                problem.capacity(),
-                f.value(0.0),
-            )
-        })
-        .collect()
 }
 
 /// `Σ g_i(ĉ_i)`: the super-optimal utility expressed through the
@@ -146,7 +116,7 @@ mod tests {
     #[test]
     fn par_path_is_bit_identical() {
         // Above the threshold so the parallel branch actually runs.
-        let n = super::par_threshold() + 13;
+        let n = PAR_THRESHOLD + 13;
         let p = Problem::builder(4, 8.0)
             .threads((0..n).map(|i| {
                 Arc::new(Power::new(1.0 + (i % 7) as f64, 0.5, 8.0)) as _
@@ -154,9 +124,9 @@ mod tests {
             .build()
             .unwrap();
         let so = super_optimal(&p);
-        let seq = linearize(&p, &so);
-        for threads in [1, 2, 8] {
-            let par = rayon::with_threads(threads, || linearize_par(&p, &so));
+        let seq = rayon::with_threads(1, || linearize(&p, &so));
+        for threads in [2, 8] {
+            let par = rayon::with_threads(threads, || linearize(&p, &so));
             assert_eq!(seq, par, "{threads} threads");
         }
     }

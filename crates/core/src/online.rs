@@ -22,14 +22,11 @@
 use crate::problem::{Assignment, CappedView, Problem};
 
 /// Re-split every server's resource optimally among its current threads
-/// (no migrations). Returns the improved assignment.
+/// (no migrations). Returns the improved assignment. The same re-split
+/// as [`refine_allocation`](crate::refine::refine_allocation), applied to
+/// drift recovery rather than as a solve-time polish.
 pub fn reallocate_in_place(problem: &Problem, current: &Assignment) -> Assignment {
-    let views: Vec<CappedView> = problem.capped_threads();
-    let amount = crate::exact::allocate_groups(problem, &views, &current.server);
-    Assignment {
-        server: current.server.clone(),
-        amount,
-    }
+    crate::refine::refine_allocation(problem, current)
 }
 
 /// In-place reallocation plus up to `max_migrations` greedy migrations.
@@ -68,7 +65,8 @@ pub fn improve_with_migrations(
             }
             let mut trial_server = best.server.clone();
             trial_server[i] = dest;
-            let amount = crate::exact::allocate_groups(problem, &views, &trial_server);
+            let amount = crate::exact::allocate_groups(problem, &views, &trial_server, None)
+                .expect("an unbudgeted re-split cannot fail");
             let trial = Assignment {
                 server: trial_server,
                 amount,

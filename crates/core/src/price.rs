@@ -66,12 +66,18 @@ use crate::problem::{Assignment, CappedView, Problem};
 use crate::solver::SolveError;
 
 pub use aa_allocator::bisection::par_sweep;
-pub use aa_allocator::tuning::par_threshold;
 
 /// Relative clearing tolerance: a market clears at the first probe with
 /// `|D(λ) − supply| < PRICE_TOL·supply` (two-sided; overshoot is clipped
 /// at placement and rescaled during refinement).
 pub const PRICE_TOL: f64 = 1e-3;
+
+/// Largest instance whose phase-2 placement visits threads in
+/// nonincreasing demand order; larger ones place in index order. An
+/// algorithm choice, not a scheduling one: it is independent of
+/// [`PAR_THRESHOLD`](aa_allocator::PAR_THRESHOLD), which only decides
+/// whether sweeps fan out.
+const SORTED_PLACEMENT_MAX: usize = 4096;
 
 /// Observability snapshot of one price-discovery solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -347,6 +353,8 @@ fn refine_server(
 
 /// Full price-discovery solve with an optional budget and optional
 /// warm state. Returns the assignment and the solve's [`PriceStats`].
+/// A budget is checked once per price probe, global and per-server
+/// alike; `None` skips every check.
 pub fn solve_with(
     problem: &Problem,
     budget: Option<&Budget>,
@@ -428,9 +436,9 @@ pub fn solve_with(
     }
 
     // Phase 2: placement. Sorting by demand improves first-fit quality
-    // but costs O(n log n); past the parallel crossover the per-server
+    // but costs O(n log n); past `SORTED_PLACEMENT_MAX` the per-server
     // refinement recovers the quality instead.
-    let order: Vec<usize> = if n <= par_threshold() {
+    let order: Vec<usize> = if n <= SORTED_PLACEMENT_MAX {
         let mut idx: Vec<usize> = (0..n).collect();
         idx.sort_by(|&a, &b| {
             buf[b].partial_cmp(&buf[a]).unwrap().then(a.cmp(&b))
@@ -505,12 +513,6 @@ pub fn solve(problem: &Problem) -> Assignment {
     }
 }
 
-/// Cold budgeted solve: cooperative budget checks once per price
-/// probe, global and per-server alike.
-pub fn solve_budgeted(problem: &Problem, budget: &Budget) -> Result<Assignment, SolveError> {
-    solve_with(problem, Some(budget), None).map(|(a, _)| a)
-}
-
 /// Warm solve through a carried [`PriceWarmState`]: searches start at
 /// the previous solve's converged prices, and the state is updated with
 /// this solve's accepted prices on success.
@@ -519,15 +521,6 @@ pub fn solve_warm(
     state: &mut PriceWarmState,
 ) -> Result<Assignment, SolveError> {
     solve_with(problem, None, Some(state)).map(|(a, _)| a)
-}
-
-/// [`solve_warm`] with a cooperative budget.
-pub fn solve_warm_budgeted(
-    problem: &Problem,
-    state: &mut PriceWarmState,
-    budget: &Budget,
-) -> Result<Assignment, SolveError> {
-    solve_with(problem, Some(budget), Some(state)).map(|(a, _)| a)
 }
 
 #[cfg(test)]
@@ -632,7 +625,7 @@ mod tests {
     fn budget_expiry_surfaces() {
         let p = mixed_problem(40, 4, 10.0);
         let budget = Budget::with_fuel(1);
-        match solve_budgeted(&p, &budget) {
+        match solve_with(&p, Some(&budget), None) {
             Err(SolveError::DeadlineExceeded) => {}
             other => panic!("expected deadline expiry, got {other:?}"),
         }

@@ -24,48 +24,51 @@ use crate::solver::SolveError;
 
 /// Exactly re-split every server's resource among its assigned threads
 /// using the original concave utilities. Placement is untouched.
+/// [`refine_allocation_with`] without a budget.
 pub fn refine_allocation(problem: &Problem, assignment: &Assignment) -> Assignment {
-    let _span = aa_obs::span!("refine");
-    // Same computation as the online module's zero-migration repair, but
-    // motivated as a solve-time polish rather than drift recovery.
-    crate::online::reallocate_in_place(problem, assignment)
+    match refine_allocation_with(problem, assignment, None) {
+        Ok(a) => a,
+        Err(_) => unreachable!("an unbudgeted re-split cannot fail"),
+    }
 }
 
-/// [`refine_allocation`] under a solve [`Budget`], checked per server
-/// and per bisection iteration inside each re-split. Bit-identical to
-/// [`refine_allocation`] while the budget holds; expiry is typed, never
-/// a half-refined allocation.
-pub fn refine_allocation_budgeted(
+/// [`refine_allocation`] under an optional solve [`Budget`], checked per
+/// server and per bisection iteration inside each re-split. Bit-identical
+/// to [`refine_allocation`] while the budget holds; expiry is typed,
+/// never a half-refined allocation.
+pub fn refine_allocation_with(
     problem: &Problem,
     assignment: &Assignment,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<Assignment, SolveError> {
     let _span = aa_obs::span!("refine");
     let views: Vec<CappedView> = problem.capped_threads();
-    let amount =
-        crate::exact::allocate_groups_budgeted(problem, &views, &assignment.server, budget)?;
+    let amount = crate::exact::allocate_groups(problem, &views, &assignment.server, budget)?;
     Ok(Assignment {
         server: assignment.server.clone(),
         amount,
     })
 }
 
-/// Algorithm 2 followed by exact per-server re-splitting.
+/// Algorithm 2 followed by exact per-server re-splitting:
+/// [`solve_refined_with`] without a budget.
 pub fn solve_refined(problem: &Problem) -> Assignment {
-    let a = crate::algo2::solve(problem);
-    refine_allocation(problem, &a)
+    match solve_refined_with(problem, None) {
+        Ok(a) => a,
+        Err(_) => unreachable!("an unbudgeted refined solve cannot fail"),
+    }
 }
 
-/// [`solve_refined`] under a solve [`Budget`]: budgeted Algorithm 2
-/// followed by the budgeted re-split. While the budget holds the result
-/// is **bit-identical** to [`solve_refined`] — both stages share their
-/// unbudgeted counterparts' code paths exactly.
-pub fn solve_refined_budgeted(
+/// [`solve_refined`] under an optional solve [`Budget`]: budgeted
+/// Algorithm 2 followed by the budgeted re-split. While the budget holds
+/// the result is **bit-identical** to [`solve_refined`] — both stages
+/// run one body with or without a budget.
+pub fn solve_refined_with(
     problem: &Problem,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<Assignment, SolveError> {
-    let a = crate::algo2::solve_budgeted(problem, budget)?;
-    refine_allocation_budgeted(problem, &a, budget)
+    let a = crate::algo2::solve_with(problem, budget)?;
+    refine_allocation_with(problem, &a, budget)
 }
 
 #[cfg(test)]
@@ -159,7 +162,7 @@ mod tests {
         for seed in 0..4 {
             let p = mixed_problem(seed);
             let plain = solve_refined(&p);
-            let roomy = solve_refined_budgeted(&p, &crate::Budget::unlimited()).unwrap();
+            let roomy = solve_refined_with(&p, Some(&crate::Budget::unlimited())).unwrap();
             assert_eq!(plain, roomy, "seed {seed}");
         }
     }
@@ -169,7 +172,7 @@ mod tests {
         let p = mixed_problem(2);
         let plain = solve_refined(&p);
         for fuel in (0..400).step_by(23) {
-            match solve_refined_budgeted(&p, &crate::Budget::with_fuel(fuel)) {
+            match solve_refined_with(&p, Some(&crate::Budget::with_fuel(fuel))) {
                 Ok(a) => assert_eq!(a, plain, "fuel {fuel}"),
                 Err(e) => {
                     assert_eq!(e, crate::SolveError::DeadlineExceeded, "fuel {fuel}");

@@ -25,7 +25,10 @@ pub struct SuperOptimal {
 
 /// Compute the super-optimal allocation by running the Galil-style
 /// price-search allocator with budget `mC` and per-thread cap
-/// `min(cap_i, C)`: a few dozen `O(n)` demand sweeps.
+/// `min(cap_i, C)`: a few dozen `O(n)` demand sweeps, fanned out over
+/// the pool once `n ≥ `[`PAR_THRESHOLD`](aa_allocator::PAR_THRESHOLD).
+/// [`super_optimal_with`] without a budget: the same bits at every pool
+/// width.
 ///
 /// # Example
 ///
@@ -45,54 +48,36 @@ pub struct SuperOptimal {
 /// assert!(so.amounts.iter().all(|&c| (c - 3.0).abs() < 1e-6));
 /// ```
 pub fn super_optimal(problem: &Problem) -> SuperOptimal {
-    let _span = aa_obs::span!("superopt");
-    let views = problem.capped_threads();
-    let budget = problem.servers() as f64 * problem.capacity();
-    let alloc = bisection::allocate(&views, budget);
-    SuperOptimal {
-        amounts: alloc.amounts,
-        utility: alloc.utility,
+    match super_optimal_with(problem, None) {
+        Ok(so) => so,
+        Err(_) => unreachable!("an unbudgeted super-optimal allocation cannot fail"),
     }
 }
 
-/// [`super_optimal`] with the demand evaluation fanned out over the
-/// thread pool for very large thread counts — see
-/// [`aa_allocator::bisection::allocate_par`]. **Bit-identical** to
-/// [`super_optimal`] for every thread count: the parallel allocator
-/// shares one implementation with the sequential one and the vendored
-/// pool materializes per-thread values in index order before reducing
-/// sequentially. Falls back to the sequential path below the parallel
-/// threshold, so it is always safe to call.
+/// [`super_optimal`] under the name the benchmark harness links.
+#[doc(hidden)]
 pub fn super_optimal_par(problem: &Problem) -> SuperOptimal {
-    let _span = aa_obs::span!("superopt");
-    let views = problem.capped_threads();
-    let budget = problem.servers() as f64 * problem.capacity();
-    let alloc = bisection::allocate_par(&views, budget);
-    SuperOptimal {
-        amounts: alloc.amounts,
-        utility: alloc.utility,
-    }
+    super_optimal(problem)
 }
 
-/// [`super_optimal_par`] under a solve [`Budget`]: the search checks
-/// the budget once per demand sweep, and above the allocator's
-/// parallel threshold the fanned-out demand maps additionally watch the
-/// budget's cancel token, abandoning unclaimed chunks the moment it
-/// fires. While the budget holds, the result is **bit-identical** to
-/// [`super_optimal_par`] (and hence [`super_optimal`]) for every thread
-/// count.
-pub fn super_optimal_budgeted(
+/// [`super_optimal`] under an optional solve [`Budget`]: the search
+/// checks the budget once per demand sweep, and fanned-out demand maps
+/// watch the budget's cancel token, abandoning unclaimed chunks the
+/// moment it fires. `None` skips every check. While the budget holds,
+/// the result is **bit-identical** to [`super_optimal`] at every pool
+/// width.
+pub fn super_optimal_with(
     problem: &Problem,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<SuperOptimal, SolveError> {
     let _span = aa_obs::span!("superopt");
     let views = problem.capped_threads();
     let pool = problem.servers() as f64 * problem.capacity();
-    let alloc = bisection::allocate_par_interruptible(
+    let alloc = bisection::allocate_checked(
         &views,
         pool,
-        budget.cancel_token(),
-        &mut || budget.check(),
+        budget.map(Budget::cancel_token),
+        &mut || budget.map_or(Ok(()), Budget::check),
     )?;
     Ok(SuperOptimal {
         amounts: alloc.amounts,
@@ -107,11 +92,12 @@ pub fn super_optimal_budgeted(
 /// drift costs a few secant steps. **Bit-identical** to
 /// [`super_optimal`]'s amounts: both searches collapse onto the same
 /// unique adjacent-float pair. `views` is scratch the caller retains
-/// across solves so the steady state allocates nothing.
+/// across solves so the steady state allocates nothing below the
+/// parallel threshold.
 ///
-/// With a solve [`Budget`] the search checks it once per demand sweep;
-/// expiry leaves the cache cold and surfaces as the budget's typed
-/// error.
+/// With a solve [`Budget`] the search checks it once per demand sweep
+/// and fanned-out sweeps watch its token; expiry leaves the cache cold
+/// and surfaces as the budget's typed error.
 ///
 /// The utility sum `F̂` is *not* computed — the assignment phase only
 /// consumes `ĉ` — which is part of the warm path's speedup. Use
@@ -127,9 +113,14 @@ pub fn super_optimal_warm_into(
     views.clear();
     views.extend((0..problem.len()).map(|i| problem.capped_thread(i)));
     let pool = problem.servers() as f64 * problem.capacity();
-    bisection::allocate_warm_into_interruptible(views, pool, cache, amounts, &mut || {
-        solve_budget.map_or(Ok(()), Budget::check)
-    })
+    bisection::allocate_warm_into(
+        views,
+        pool,
+        cache,
+        amounts,
+        solve_budget.map(Budget::cancel_token),
+        &mut || solve_budget.map_or(Ok(()), Budget::check),
+    )
 }
 
 #[cfg(test)]
@@ -207,12 +198,14 @@ mod tests {
     #[test]
     fn par_path_is_bit_identical() {
         let p = Problem::builder(3, 7.0)
-            .threads((0..64).map(|i| arc(Power::new(1.0 + (i % 9) as f64, 0.6, 7.0))))
+            .threads((0..aa_allocator::PAR_THRESHOLD + 64).map(|i| {
+                arc(Power::new(1.0 + (i % 9) as f64, 0.6, 7.0))
+            }))
             .build()
             .unwrap();
-        for threads in [1, 2, 8] {
-            let seq = super_optimal(&p);
-            let par = rayon::with_threads(threads, || super_optimal_par(&p));
+        let seq = rayon::with_threads(1, || super_optimal(&p));
+        for threads in [2, 8] {
+            let par = rayon::with_threads(threads, || super_optimal(&p));
             assert_eq!(seq, par, "{threads} threads");
         }
     }
@@ -224,9 +217,9 @@ mod tests {
             .build()
             .unwrap();
         let plain = super_optimal(&p);
-        let roomy = super_optimal_budgeted(&p, &crate::Budget::unlimited()).unwrap();
+        let roomy = super_optimal_with(&p, Some(&crate::Budget::unlimited())).unwrap();
         assert_eq!(plain, roomy);
-        let starved = super_optimal_budgeted(&p, &crate::Budget::with_fuel(2));
+        let starved = super_optimal_with(&p, Some(&crate::Budget::with_fuel(2)));
         assert_eq!(starved, Err(crate::SolveError::DeadlineExceeded));
     }
 

@@ -30,16 +30,16 @@
 //! to degrade to.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use rand::RngCore;
 use serde::Serialize;
 
 use crate::budget::Budget;
+use crate::incremental::WarmState;
 use crate::problem::{Assignment, Problem};
 use crate::solver::{SolveError, Solver};
-use crate::{algo2, exact_bb, heuristics, refine};
+use crate::{algo2, exact_bb, heuristics, incremental, price, refine};
 
 /// One rung of the degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -168,8 +168,6 @@ pub struct TieredSolver {
     breaker_cooldown: u64,
     state: Vec<BreakerState>,
     requests: AtomicU64,
-    /// Opt-in warm state for the [`Tier::Algo2`] rung (see [`Self::warm`]).
-    warm: Option<Mutex<crate::incremental::WarmState>>,
 }
 
 impl Default for TieredSolver {
@@ -250,34 +248,7 @@ impl TieredSolver {
             breaker_cooldown: DEFAULT_BREAKER_COOLDOWN,
             state,
             requests: AtomicU64::new(0),
-            warm: None,
         }
-    }
-
-    /// Enable the warm incremental path for the [`Tier::Algo2`] rung:
-    /// the tier solves through
-    /// [`incremental::solve_incremental_budgeted`](crate::incremental::solve_incremental_budgeted)
-    /// with a [`WarmState`](crate::incremental::WarmState) that persists
-    /// across requests. Answers stay **bit-identical** to the cold
-    /// `algo2` path (the incremental engine's contract); only the
-    /// latency changes when consecutive requests drift slowly. Off by
-    /// default so existing ladders are byte-for-byte unchanged.
-    ///
-    /// The state sits behind a `Mutex`, so a shared solver serving
-    /// concurrent streams serializes its Algo2 rung; give each stream
-    /// its own warm `TieredSolver` (as `aa serve` does) to keep the
-    /// warm cache coherent per stream.
-    pub fn warm(mut self) -> Self {
-        self.warm = Some(Mutex::new(crate::incremental::WarmState::new()));
-        self
-    }
-
-    /// Stats from the most recent warm Algo2 solve, or `None` when the
-    /// warm path is not enabled.
-    pub fn warm_stats(&self) -> Option<crate::incremental::IncrementalStats> {
-        self.warm
-            .as_ref()
-            .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).last_stats())
     }
 
     /// Override the circuit breaker: open after `threshold` consecutive
@@ -307,36 +278,53 @@ impl TieredSolver {
         problem: &Problem,
         budget: &Budget,
     ) -> Result<TieredSolve, SolveError> {
-        self.solve_within_impl(problem, budget, None)
+        self.walk(problem, budget, None)
     }
 
-    /// [`Self::solve_within`] with a caller-owned [`WarmState`] for the
-    /// [`Tier::Algo2`] rung instead of the solver's internal one (if
-    /// any). This is the per-stream entry point: a shard holding one
-    /// `WarmState` per request stream threads the right state through a
+    /// The entry point for callers feeding untrusted problems under real
+    /// deadlines (`aa serve`, the shard workers): [`Self::solve_within`]
+    /// behind the same input/output screening as
+    /// [`Solver::try_solve_with`] — non-finite utility curves are
+    /// rejected up front and the answer's feasibility is validated — and
+    /// a [`std::panic::catch_unwind`] boundary, so a panic anywhere in
+    /// the pipeline comes back as [`SolveError::Panicked`] instead of
+    /// unwinding into (and killing) the calling worker thread.
+    ///
+    /// `warm` is a caller-owned per-stream [`WarmState`] for the
+    /// [`Tier::Algo2`] and [`Tier::Price`] rungs: a shard holding one
+    /// state per request stream threads the right one through a
     /// *shared* `TieredSolver`, keeping breaker state per shard while
-    /// warm prices stay per stream. Answers are **bit-identical** to
-    /// the cold path regardless of the state passed (the incremental
-    /// engine's contract).
-    pub fn solve_within_warm(
+    /// warm prices stay per stream. Answers are **bit-identical** to the
+    /// cold path whatever state is passed (the incremental engine's
+    /// contract). On a panic the state may be half-updated, so it is
+    /// [`invalidate`](WarmState::invalidate)d before returning and the
+    /// next solve through it rebuilds from scratch.
+    pub fn try_solve_within_caught(
         &self,
         problem: &Problem,
         budget: &Budget,
-        warm: &mut crate::incremental::WarmState,
+        mut warm: Option<&mut WarmState>,
     ) -> Result<TieredSolve, SolveError> {
-        self.solve_within_impl(problem, budget, Some(warm))
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.screened(problem, budget, warm.as_deref_mut())
+        }));
+        result.unwrap_or_else(|payload| {
+            if let Some(state) = warm {
+                state.invalidate();
+            }
+            Err(SolveError::Panicked(panic_message(&*payload)))
+        })
     }
 
-    /// [`Self::solve_within_warm`] with the same input/output screening
-    /// as [`Self::try_solve_within`].
-    pub fn try_solve_within_warm(
+    /// [`Self::walk`] with input and output screening.
+    fn screened(
         &self,
         problem: &Problem,
         budget: &Budget,
-        warm: &mut crate::incremental::WarmState,
+        warm: Option<&mut WarmState>,
     ) -> Result<TieredSolve, SolveError> {
         crate::solver::check_finite_utilities(problem)?;
-        let solved = self.solve_within_impl(problem, budget, Some(warm))?;
+        let solved = self.walk(problem, budget, warm)?;
         solved
             .assignment
             .validate(problem)
@@ -344,47 +332,12 @@ impl TieredSolver {
         Ok(solved)
     }
 
-    /// Panic-containing solve entry: [`Self::try_solve_within`] (or the
-    /// warm variant when `warm` is given) behind a
-    /// [`std::panic::catch_unwind`] boundary. A panic anywhere in the
-    /// solve pipeline comes back as [`SolveError::Panicked`] instead of
-    /// unwinding into (and killing) the calling worker thread.
-    ///
-    /// On a panic the passed warm state may have been half-updated;
-    /// this entry point [`invalidate`](crate::incremental::WarmState::invalidate)s
-    /// it before returning so the next solve through it rebuilds from
-    /// scratch rather than trusting a corrupt warm state.
-    pub fn try_solve_within_caught(
+    /// The one ladder walk behind every entry point.
+    fn walk(
         &self,
         problem: &Problem,
         budget: &Budget,
-        warm: Option<&mut crate::incremental::WarmState>,
-    ) -> Result<TieredSolve, SolveError> {
-        match warm {
-            None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.try_solve_within(problem, budget)
-            }))
-            .unwrap_or_else(|payload| Err(SolveError::Panicked(panic_message(&*payload)))),
-            Some(state) => {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.try_solve_within_warm(problem, budget, &mut *state)
-                }));
-                match result {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        state.invalidate();
-                        Err(SolveError::Panicked(panic_message(&*payload)))
-                    }
-                }
-            }
-        }
-    }
-
-    fn solve_within_impl(
-        &self,
-        problem: &Problem,
-        budget: &Budget,
-        mut external: Option<&mut crate::incremental::WarmState>,
+        mut warm: Option<&mut WarmState>,
     ) -> Result<TieredSolve, SolveError> {
         let req = self.requests.fetch_add(1, Ordering::AcqRel) + 1;
         let mut outcomes: Vec<TierOutcome> = Vec::with_capacity(self.ladder.len());
@@ -403,7 +356,7 @@ impl TieredSolver {
                 tier_counters(tier).0.inc();
             }
             let start = Instant::now();
-            let run = run_tier(tier, problem, budget, self.warm.as_ref(), external.as_deref_mut())?;
+            let run = run_tier(tier, problem, budget, warm.as_deref_mut())?;
             let micros = start.elapsed().as_micros() as u64;
             match run {
                 TierRun::Answer { assignment, partial } => {
@@ -455,25 +408,6 @@ impl TieredSolver {
         Err(SolveError::DeadlineExceeded)
     }
 
-    /// [`Self::solve_within`] with the same input/output screening as
-    /// [`Solver::try_solve_with`]: rejects non-finite utility curves up
-    /// front and validates the answer's feasibility. The entry point for
-    /// callers feeding untrusted problems under real deadlines (e.g.
-    /// `aa serve`).
-    pub fn try_solve_within(
-        &self,
-        problem: &Problem,
-        budget: &Budget,
-    ) -> Result<TieredSolve, SolveError> {
-        crate::solver::check_finite_utilities(problem)?;
-        let solved = self.solve_within(problem, budget)?;
-        solved
-            .assignment
-            .validate(problem)
-            .map_err(SolveError::Infeasible)?;
-        Ok(solved)
-    }
-
     fn record_failure(&self, idx: usize, req: u64) {
         let s = &self.state[idx];
         let failures = s.failures.fetch_add(1, Ordering::AcqRel) + 1;
@@ -499,64 +433,30 @@ fn run_tier(
     tier: Tier,
     problem: &Problem,
     budget: &Budget,
-    warm: Option<&Mutex<crate::incremental::WarmState>>,
-    external: Option<&mut crate::incremental::WarmState>,
+    warm: Option<&mut WarmState>,
 ) -> Result<TierRun, SolveError> {
-    match tier {
+    let answer = match tier {
         Tier::BranchAndBound => match exact_bb::solve_budgeted(problem, budget) {
-            Ok(b) => Ok(TierRun::Answer {
-                assignment: b.assignment,
-                partial: !b.optimal,
-            }),
-            Err(SolveError::TooLarge { .. }) => Ok(TierRun::TooLarge),
-            Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
+            Ok(b) => {
+                return Ok(TierRun::Answer {
+                    assignment: b.assignment,
+                    partial: !b.optimal,
+                })
+            }
+            Err(SolveError::TooLarge { .. }) => return Ok(TierRun::TooLarge),
             Err(e) => Err(e),
         },
-        Tier::Algo2Refined => match refine::solve_refined_budgeted(problem, budget) {
-            Ok(a) => Ok(TierRun::Answer { assignment: a, partial: false }),
-            Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
-            Err(e) => Err(e),
+        Tier::Algo2Refined => refine::solve_refined_with(problem, Some(budget)),
+        // The warm incremental path is bit-identical to the cold solve
+        // (differential proptests pin this), so a caller's per-stream
+        // state changes latency, never answers.
+        Tier::Algo2 => match warm {
+            Some(state) => incremental::solve_incremental_budgeted(problem, state, budget),
+            None => algo2::solve_with(problem, Some(budget)),
         },
-        Tier::Algo2 => {
-            // The warm incremental path is bit-identical to the cold
-            // solve (differential proptests pin this), so enabling it
-            // changes latency, never answers. A caller-owned per-stream
-            // state takes precedence over the solver's shared one.
-            let run = match (external, warm) {
-                (Some(state), _) => {
-                    crate::incremental::solve_incremental_budgeted(problem, state, budget)
-                }
-                (None, Some(w)) => {
-                    let mut state = w.lock().unwrap_or_else(|e| e.into_inner());
-                    crate::incremental::solve_incremental_budgeted(problem, &mut state, budget)
-                }
-                (None, None) => algo2::solve_budgeted(problem, budget),
-            };
-            match run {
-                Ok(a) => Ok(TierRun::Answer { assignment: a, partial: false }),
-                Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
-                Err(e) => Err(e),
-            }
-        }
-        Tier::Price => {
-            // Same warm-state precedence as Algo2; the price backend
-            // reads its own compartment of the shared container.
-            let run = match (external, warm) {
-                (Some(state), _) => {
-                    crate::price::solve_warm_budgeted(problem, state.price_mut(), budget)
-                }
-                (None, Some(w)) => {
-                    let mut state = w.lock().unwrap_or_else(|e| e.into_inner());
-                    crate::price::solve_warm_budgeted(problem, state.price_mut(), budget)
-                }
-                (None, None) => crate::price::solve_budgeted(problem, budget),
-            };
-            match run {
-                Ok(a) => Ok(TierRun::Answer { assignment: a, partial: false }),
-                Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
-                Err(e) => Err(e),
-            }
-        }
+        // The price backend reads its own compartment of the state.
+        Tier::Price => price::solve_with(problem, Some(budget), warm.map(WarmState::price_mut))
+            .map(|(a, _)| a),
         Tier::Uu => {
             // The floor ignores expiry — it exists precisely so an
             // exhausted budget still yields a feasible answer — but an
@@ -564,11 +464,13 @@ fn run_tier(
             if let Err(SolveError::Cancelled) = budget.check() {
                 return Err(SolveError::Cancelled);
             }
-            Ok(TierRun::Answer {
-                assignment: heuristics::uu(problem),
-                partial: false,
-            })
+            Ok(heuristics::uu(problem))
         }
+    };
+    match answer {
+        Ok(assignment) => Ok(TierRun::Answer { assignment, partial: false }),
+        Err(SolveError::DeadlineExceeded) => Ok(TierRun::Expired),
+        Err(e) => Err(e),
     }
 }
 
@@ -588,7 +490,7 @@ impl Solver for TieredSolver {
         problem: &Problem,
         _rng: &mut dyn RngCore,
     ) -> Result<Assignment, SolveError> {
-        self.try_solve_within(problem, &Budget::unlimited())
+        self.screened(problem, &Budget::unlimited(), None)
             .map(|solved| solved.assignment)
     }
 }
@@ -797,39 +699,25 @@ mod tests {
     }
 
     #[test]
-    fn warm_algo2_tier_is_bit_identical_and_keeps_state_across_requests() {
+    fn external_warm_state_is_bit_identical_and_stays_warm() {
         use crate::incremental::SolveMode;
 
-        let solver = TieredSolver::with_ladder(vec![Tier::Algo2, Tier::Uu]).warm();
+        let solver = TieredSolver::with_ladder(vec![Tier::Algo2, Tier::Uu]);
+        let unlimited = Budget::unlimited();
+        let mut stream_a = WarmState::new();
+        // One state carried across different problems stays exact.
         for seed in 0..4 {
             let p = mixed_problem(3, 11, seed);
-            let t = solver.solve_within(&p, &Budget::unlimited()).unwrap();
+            let t = solver.try_solve_within_caught(&p, &unlimited, Some(&mut stream_a)).unwrap();
             assert_eq!(t.assignment, algo2::solve(&p), "seed {seed}");
         }
-        // Re-solving the *same* problem object hits the identical fast
-        // path: the warm state survived the previous requests.
-        let p = mixed_problem(3, 11, 9);
-        let first = solver.solve_within(&p, &Budget::unlimited()).unwrap();
-        let again = solver.solve_within(&p, &Budget::unlimited()).unwrap();
-        assert_eq!(first.assignment, again.assignment);
-        assert_eq!(solver.warm_stats().unwrap().mode, SolveMode::Identical);
-        // A cold solver never reports warm stats.
-        assert!(TieredSolver::new().warm_stats().is_none());
-    }
-
-    #[test]
-    fn external_warm_state_is_bit_identical_and_stays_warm() {
-        use crate::incremental::{SolveMode, WarmState};
-
-        let solver = TieredSolver::with_ladder(vec![Tier::Algo2, Tier::Uu]);
-        let mut stream_a = WarmState::new();
         let mut stream_b = WarmState::new();
         let pa = mixed_problem(3, 11, 0);
         let pb = mixed_problem(3, 13, 1);
         for _ in 0..3 {
-            let a = solver.solve_within_warm(&pa, &Budget::unlimited(), &mut stream_a).unwrap();
+            let a = solver.try_solve_within_caught(&pa, &unlimited, Some(&mut stream_a)).unwrap();
             assert_eq!(a.assignment, algo2::solve(&pa));
-            let b = solver.solve_within_warm(&pb, &Budget::unlimited(), &mut stream_b).unwrap();
+            let b = solver.try_solve_within_caught(&pb, &unlimited, Some(&mut stream_b)).unwrap();
             assert_eq!(b.assignment, algo2::solve(&pb));
         }
         // Each stream's state converged to the identical fast path on
@@ -845,13 +733,13 @@ mod tests {
         let caught = solver
             .try_solve_within_caught(&p, &Budget::unlimited(), None)
             .unwrap();
-        let plain = solver.try_solve_within(&p, &Budget::unlimited()).unwrap();
+        let plain = solver.solve_within(&p, &Budget::unlimited()).unwrap();
         assert_eq!(caught.assignment, plain.assignment);
     }
 
     #[test]
     fn caught_entry_contains_panics_and_invalidates_warm_state() {
-        use crate::incremental::{SolveMode, WarmState};
+        use crate::incremental::SolveMode;
         use aa_utility::Utility;
 
         // A utility curve that panics when evaluated: finite on the
@@ -895,7 +783,7 @@ mod tests {
         let healthy = mixed_problem(2, 5, 0);
         let solver2 = TieredSolver::with_ladder(vec![Tier::Algo2, Tier::Uu]);
         let again = solver2
-            .solve_within_warm(&healthy, &Budget::unlimited(), &mut warm)
+            .try_solve_within_caught(&healthy, &Budget::unlimited(), Some(&mut warm))
             .unwrap();
         assert_eq!(again.assignment, algo2::solve(&healthy));
         assert_eq!(warm.last_stats().mode, SolveMode::Cold);

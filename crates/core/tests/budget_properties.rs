@@ -49,7 +49,7 @@ proptest! {
     #[test]
     fn algo2_budgeted_is_all_or_typed_nothing(p in small_problem(), fuel in 0u64..600) {
         let plain = algo2::solve(&p);
-        match algo2::solve_budgeted(&p, &Budget::with_fuel(fuel)) {
+        match algo2::solve_with(&p, Some(&Budget::with_fuel(fuel))) {
             Ok(a) => prop_assert_eq!(a, plain),
             Err(e) => prop_assert_eq!(e, SolveError::DeadlineExceeded),
         }
@@ -59,10 +59,36 @@ proptest! {
     #[test]
     fn refined_budgeted_is_all_or_typed_nothing(p in small_problem(), fuel in 0u64..900) {
         let plain = refine::solve_refined(&p);
-        match refine::solve_refined_budgeted(&p, &Budget::with_fuel(fuel)) {
+        match refine::solve_refined_with(&p, Some(&Budget::with_fuel(fuel))) {
             Ok(a) => prop_assert_eq!(a, plain),
             Err(e) => prop_assert_eq!(e, SolveError::DeadlineExceeded),
         }
+    }
+
+    /// The re-split alone, on Algorithm 2's placement: the budgeted path
+    /// returns the unbudgeted bits or a typed expiry.
+    #[test]
+    fn refine_allocation_budgeted_is_all_or_typed_nothing(
+        p in small_problem(),
+        fuel in 0u64..300,
+    ) {
+        let placed = algo2::solve(&p);
+        let plain = refine::refine_allocation(&p, &placed);
+        let roomy = refine::refine_allocation_with(&p, &placed, Some(&Budget::unlimited())).unwrap();
+        prop_assert_eq!(&roomy, &plain);
+        match refine::refine_allocation_with(&p, &placed, Some(&Budget::with_fuel(fuel))) {
+            Ok(a) => prop_assert_eq!(a, plain),
+            Err(e) => prop_assert_eq!(e, SolveError::DeadlineExceeded),
+        }
+    }
+
+    /// Branch-and-bound with room to finish runs the unbudgeted search:
+    /// the same assignment, bit for bit, proven optimal.
+    #[test]
+    fn branch_and_bound_unlimited_is_bit_identical(p in small_problem()) {
+        let solved = exact_bb::solve_budgeted(&p, &Budget::unlimited()).unwrap();
+        prop_assert!(solved.optimal);
+        prop_assert_eq!(solved.assignment, exact_bb::solve(&p));
     }
 
     /// Anytime branch-and-bound: any fuel level yields a feasible

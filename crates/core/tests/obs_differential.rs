@@ -59,7 +59,7 @@ proptest! {
         let seq = algo2::solve(&p);
         let pars: Vec<_> = THREAD_COUNTS
             .iter()
-            .map(|&t| rayon::with_threads(t, || algo2::solve_par(&p)))
+            .map(|&t| rayon::with_threads(t, || algo2::solve(&p)))
             .collect();
         let mut warm_off = WarmState::new();
         let inc = algo2::solve_incremental(&p, &mut warm_off);
@@ -70,8 +70,8 @@ proptest! {
         let seq_on = algo2::solve(&p);
         prop_assert!(aa_obs::record_enabled(), "collector raced off mid-test");
         for (&threads, par_off) in THREAD_COUNTS.iter().zip(&pars) {
-            let par_on = rayon::with_threads(threads, || algo2::solve_par(&p));
-            prop_assert_eq!(par_off, &par_on, "solve_par diverged at {} threads", threads);
+            let par_on = rayon::with_threads(threads, || algo2::solve(&p));
+            prop_assert_eq!(par_off, &par_on, "algo2::solve diverged at {} threads", threads);
         }
         let mut warm_on = WarmState::new();
         let inc_on = algo2::solve_incremental(&p, &mut warm_on);

@@ -53,20 +53,25 @@ fn algo2_meets_alpha_on_all_four_distributions() {
 
 #[test]
 fn parallel_path_meets_the_same_guarantee() {
-    // The differential suite proves solve_par == solve; this re-checks
-    // the guarantee through the parallel entry point anyway, so a future
-    // divergence cannot silently weaken approximation quality.
+    // The guarantee is checked at pool width 1; widths 2 and 8 must
+    // return the same bits, so a future divergence cannot silently
+    // weaken approximation quality.
     for (name, dist) in paper_distributions() {
         let spec = InstanceSpec::paper(dist, 8);
         let mut rng = StdRng::seed_from_u64(2016);
         let p = spec.generate(&mut rng).unwrap();
         let bound = superopt::super_optimal(&p).utility;
-        let u = algo2::solve_par(&p).total_utility(&p);
+        let width1 = rayon::with_threads(1, || algo2::solve(&p));
+        let u = width1.total_utility(&p);
         assert!(
             u >= ALPHA * bound - 1e-9 * bound.max(1.0),
-            "{name}: parallel {u} < α·F̂ = {}",
+            "{name}: {u} < α·F̂ = {}",
             ALPHA * bound
         );
+        for threads in [2, 8] {
+            let par = rayon::with_threads(threads, || algo2::solve(&p));
+            assert_eq!(width1, par, "{name}: width {threads} diverged from width 1");
+        }
     }
 }
 

@@ -218,7 +218,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadReport {
 
         let budget = Budget::with_deadline(Duration::from_secs_f64(remaining_ms / 1e3));
         let wall = Instant::now();
-        let outcome = serving.try_solve_within(&problem, &budget);
+        let outcome = serving.try_solve_within_caught(&problem, &budget, None);
         let service_ms = wall.elapsed().as_secs_f64() * 1e3;
         let end = start + service_ms;
         worker_free = end;
@@ -232,7 +232,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadReport {
                     report.deadline_misses += 1;
                 }
                 let full = baseline
-                    .try_solve_within(&problem, &Budget::unlimited())
+                    .try_solve_within_caught(&problem, &Budget::unlimited(), None)
                     .expect("unbudgeted tiered solve cannot fail");
                 let retention = if full.utility > 0.0 {
                     solved.utility / full.utility

@@ -95,7 +95,7 @@ proptest! {
             budget.cancel_token().cancel();
         }
         let solver = TieredSolver::new();
-        match solver.try_solve_within(&problem, &budget) {
+        match solver.try_solve_within_caught(&problem, &budget, None) {
             Ok(solved) => {
                 prop_assert!(!cancelled, "a pre-cancelled budget must not solve");
                 prop_assert!(solved.assignment.validate(&problem).is_ok());

@@ -46,7 +46,7 @@ fn price_matches_algo2_within_tolerance_on_all_distributions() {
     for (name, dist) in paper_distributions() {
         for (beta, seed) in [(5usize, 11u64), (15, 12), (64, 13)] {
             let p = instance(dist, beta, seed);
-            let a2 = algo2::solve_par(&p);
+            let a2 = algo2::solve(&p);
             let pr = price::solve(&p);
             pr.validate(&p)
                 .unwrap_or_else(|e| panic!("{name} β={beta}: infeasible: {e:?}"));
