@@ -33,7 +33,9 @@
 //! entry a caller picks never decides it. Slots are written by index
 //! and summed in index order, so the answer is the same bits at every
 //! pool width, and `rayon::with_threads(1, …)` is the sequential
-//! reference.
+//! reference. The price backend's [`par_sweep`] instead totals fixed
+//! [`SUM_BLOCK`]-slot blocks inside the sweep; that order too is fixed
+//! by the size alone, never by the pool.
 
 use aa_utility::{DemandTable, Utility};
 use rayon::prelude::*;
@@ -72,6 +74,12 @@ impl std::fmt::Display for Interrupted {
 
 impl std::error::Error for Interrupted {}
 
+/// Slots per fan-out chunk of an `n`-slot sweep: about four chunks per
+/// pool thread.
+fn chunk_len(n: usize) -> usize {
+    n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1)
+}
+
 /// Run `fill(start, chunk)` over `out` split into chunks, where
 /// `chunk[k]` is slot `start + k`: a plain loop below
 /// [`PAR_THRESHOLD`] slots, disjoint contiguous chunks over the pool
@@ -89,7 +97,7 @@ fn fill(
         fill(0, out);
         return Some(());
     }
-    let chunk = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1);
+    let chunk = chunk_len(n);
     let chunks = out
         .chunks_mut(chunk)
         .enumerate()
@@ -121,13 +129,54 @@ fn sweep<U: Utility>(
     Some(out.iter().sum())
 }
 
+/// Slots per block of [`par_sweep`]'s total. Part of the answer, like a
+/// sort cutoff: the total is a function of this block size alone, never
+/// of the pool width or of [`PAR_THRESHOLD`].
+pub const SUM_BLOCK: usize = 4096;
+
 /// One demand sweep `out[i] = x_i(λ)`, fanned out once `n` reaches
-/// [`PAR_THRESHOLD`], without the sum: the price backend's placement
-/// sweep. Bit-identical to a sequential sweep at any pool width.
-pub fn par_sweep<U: Utility>(table: &DemandTable, utils: &[U], lambda: f64, out: &mut [f64]) {
-    let _ = fill(None, out, |start, chunk| {
-        table.batch_range(utils, lambda, start, chunk)
-    });
+/// [`PAR_THRESHOLD`], returning the total demand: the price backend's
+/// sweep. Each [`SUM_BLOCK`]-slot block is summed in index order as the
+/// chunk that owns it writes it (chunks cover whole blocks), so the add
+/// chain overlaps the kernel instead of following it on one core; the
+/// block totals are then added in index order. Both folds start at
+/// `-0.0`, as `Iterator::sum` does, so up to `SUM_BLOCK` slots the total
+/// is `out.iter().sum()` bit for bit. Any fixed summation tree of
+/// nonincreasing terms is nonincreasing in λ, and this tree does not
+/// depend on the pool, so the total is monotone and the same bits at
+/// every pool width.
+pub fn par_sweep<U: Utility>(
+    table: &DemandTable,
+    utils: &[U],
+    lambda: f64,
+    out: &mut [f64],
+) -> f64 {
+    let n = out.len();
+    let mut totals = vec![0.0; n.div_ceil(SUM_BLOCK)];
+    // One chunk below the threshold (the pool runs it inline), and
+    // whole blocks per chunk from it on.
+    let chunk = if n < PAR_THRESHOLD { n } else { chunk_len(n) }
+        .max(1)
+        .next_multiple_of(SUM_BLOCK);
+    let run = |(k, (slots, sums)): (usize, (&mut [f64], &mut [f64]))| {
+        let blocks = slots.chunks_mut(SUM_BLOCK).zip(sums);
+        for (b, (block, sum)) in blocks.enumerate() {
+            let start = k * chunk + b * SUM_BLOCK;
+            let mut acc = -0.0;
+            for (i, slot) in block.iter_mut().enumerate() {
+                *slot = table.eval(utils, start + i, lambda);
+                acc += *slot;
+            }
+            *sum = acc;
+        }
+    };
+    out.chunks_mut(chunk)
+        .zip(totals.chunks_mut(chunk / SUM_BLOCK))
+        .enumerate()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .for_each(run);
+    totals.iter().sum()
 }
 
 /// The next float above a non-negative `x` (`+∞` stays put).
@@ -996,6 +1045,52 @@ mod par_tests {
             assert_eq!(plain.utility.to_bits(), got.utility.to_bits(), "{threads} threads");
             for (a, b) in plain.amounts.iter().zip(&got.amounts) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
+            }
+        }
+    }
+
+    fn swept(utils: &[Box<dyn Utility + Send + Sync>], lambda: f64) -> (f64, Vec<f64>) {
+        let mut table = DemandTable::new();
+        table.compile(utils);
+        let mut out = vec![0.0; utils.len()];
+        let total = par_sweep(&table, utils, lambda, &mut out);
+        (total, out)
+    }
+
+    #[test]
+    fn par_sweep_total_is_the_index_order_sum_up_to_one_block() {
+        for n in [1, 7, 1000, SUM_BLOCK] {
+            let utils = mixed_pool(n);
+            for lambda in [0.05, 0.3, 2.0] {
+                let (total, out) = swept(&utils, lambda);
+                let sum: f64 = out.iter().sum();
+                assert_eq!(total.to_bits(), sum.to_bits(), "n={n} λ={lambda}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_sweep_total_folds_fixed_blocks_at_every_width() {
+        // Full blocks and a ragged tail, so the fan-out runs and chunks
+        // must still cover whole blocks. At 3 blocks every chunk is one
+        // block; at 40 a chunk spans 11, 6 or 2 blocks at widths 1, 2
+        // and 8, so a total that followed the chunks would differ.
+        for blocks in [3, 40] {
+            let utils = mixed_pool(blocks * SUM_BLOCK + 17);
+            for lambda in [0.05, 0.3, 2.0] {
+                let reference = rayon::with_threads(1, || swept(&utils, lambda));
+                let folded: f64 = reference
+                    .1
+                    .chunks(SUM_BLOCK)
+                    .map(|b| b.iter().sum::<f64>())
+                    .sum();
+                let tag = format!("{blocks} blocks, λ={lambda}");
+                assert_eq!(reference.0.to_bits(), folded.to_bits(), "{tag}");
+                for threads in [2, 8] {
+                    let (total, out) = rayon::with_threads(threads, || swept(&utils, lambda));
+                    assert_eq!(total.to_bits(), folded.to_bits(), "{threads} threads, {tag}");
+                    assert_eq!(out, reference.1, "{threads} threads, {tag}");
+                }
             }
         }
     }

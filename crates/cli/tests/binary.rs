@@ -203,24 +203,22 @@ fn pretty_flag_pretty_prints() {
     assert!(text.contains('\n') && text.contains("  "), "not pretty-printed");
 }
 
-/// Scheduling knobs change where work runs, never the answer: a
-/// generated n = 2400 problem solves to the same bytes under the
-/// default pool, a one-thread pool, and a lowered parallel threshold in
-/// the environment (which the solver must ignore), for both backends.
-#[test]
-fn solutions_are_byte_identical_under_scheduling_knobs() {
+/// Solve a generated 8-server problem of `beta` threads per server with
+/// each of `solvers`, under the default environment and under each of
+/// `envs`, and require the same solution bytes every time.
+fn assert_same_bytes_under(beta: &str, solvers: &[&str], envs: &[(&str, &str)]) {
     let dir = tempdir();
-    let path = dir.join("knobs-2400.json");
+    let path = dir.join(format!("knobs-beta-{beta}.json"));
     let gen = bin()
         .args([
-            "generate", "--servers", "8", "--beta", "300", "--capacity", "1000",
+            "generate", "--servers", "8", "--beta", beta, "--capacity", "1000",
             "--dist", "uniform", "--seed", "3",
         ])
         .output()
         .unwrap();
     assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
     std::fs::write(&path, &gen.stdout).unwrap();
-    for solver in ["price", "algo2"] {
+    for &solver in solvers {
         let solve = |env: Option<(&str, &str)>| {
             let mut cmd = bin();
             cmd.args(["solve", path.to_str().unwrap(), "--solver", solver]);
@@ -233,10 +231,36 @@ fn solutions_are_byte_identical_under_scheduling_knobs() {
             out.stdout
         };
         let reference = solve(None);
-        for env in [("AA_PAR_THRESHOLD", "1024"), ("AA_NUM_THREADS", "1")] {
-            assert!(reference == solve(Some(env)), "{solver} changed under {}={}", env.0, env.1);
+        for &env in envs {
+            assert!(
+                reference == solve(Some(env)),
+                "{solver} at beta {beta} changed under {}={}",
+                env.0,
+                env.1
+            );
         }
     }
+}
+
+/// Scheduling knobs change where work runs, never the answer: a
+/// generated n = 2400 problem solves to the same bytes under the
+/// default pool, a one-thread pool, and a lowered parallel threshold in
+/// the environment (which the solver must ignore), for both backends.
+/// An n = 12 320 `price` instance, past the fan-out threshold and
+/// several demand-total blocks long, solves to the same bytes at the
+/// default pool width and at widths 1 and 8.
+#[test]
+fn solutions_are_byte_identical_under_scheduling_knobs() {
+    assert_same_bytes_under(
+        "300",
+        &["price", "algo2"],
+        &[("AA_PAR_THRESHOLD", "1024"), ("AA_NUM_THREADS", "1")],
+    );
+    assert_same_bytes_under(
+        "1540",
+        &["price"],
+        &[("AA_NUM_THREADS", "1"), ("AA_NUM_THREADS", "8")],
+    );
 }
 
 #[test]

@@ -35,9 +35,13 @@
 //! # Determinism
 //!
 //! Demand sweeps write `out[i]` by index (disjoint chunks of one
-//! buffer) and total demand is summed *sequentially* over the filled
-//! buffer, so results are bit-identical at any pool width — same
-//! contract as the vendored pool's `collect`.
+//! buffer). [`par_sweep`] totals the demand in the same pass: each fixed
+//! [`SUM_BLOCK`](aa_allocator::bisection::SUM_BLOCK)-slot block in index
+//! order, then the block totals in index order. The pool's chunks cover
+//! whole blocks, so the summation order depends on `n` alone and results
+//! are bit-identical at any pool width; up to one block it is the plain
+//! index-order sum. A fixed summation tree of nonincreasing demands is
+//! itself nonincreasing in λ, which is all the root-finder needs.
 //!
 //! # Tolerance
 //!
@@ -55,11 +59,9 @@
 
 use rayon::prelude::*;
 
-use std::sync::Arc;
-
 use aa_allocator::bisection::{find_root, Root, Search};
 use aa_utility::demand::DemandTable;
-use aa_utility::{DynUtility, Utility};
+use aa_utility::Utility;
 
 use crate::budget::Budget;
 use crate::problem::{Assignment, CappedView, Problem};
@@ -112,12 +114,13 @@ pub struct PriceWarmState {
     /// re-solve recompiles only the rows whose utility changed instead
     /// of the whole instance (the single largest fixed cost at scale).
     table: DemandTable,
-    /// The utility object behind each cached table row. Holding the
-    /// `Arc`s keeps those allocations alive, which is what makes the
-    /// pointer-identity row check sound: a live address cannot be
-    /// reused by a new utility. Costs one `Arc` (16 bytes + a refcount)
-    /// per thread while the state is warm.
-    cached: Vec<DynUtility>,
+    /// The capped views the last solve swept, one per table row, moved
+    /// in at its end. Each view holds its utility's `Arc`, which keeps
+    /// that allocation alive and so makes the pointer-identity row check
+    /// sound: a live address cannot be reused by a new utility. A state
+    /// usable on a problem has the same capacity, so a view of the same
+    /// utility has the same effective cap.
+    views: Vec<CappedView>,
     stats: PriceStats,
 }
 
@@ -132,7 +135,7 @@ impl PriceWarmState {
         self.valid = false;
         self.server_prices.clear();
         self.table = DemandTable::new();
-        self.cached.clear();
+        self.views.clear();
     }
 
     /// Whether the state currently carries usable prices.
@@ -366,41 +369,40 @@ pub fn solve_with(
     let capacity = problem.capacity();
     let supply = m as f64 * capacity;
 
-    let utils = problem.capped_threads();
     let threads = problem.threads();
     let mut stats = PriceStats::default();
     let mut warm = warm;
     let warm_usable = warm.as_ref().is_some_and(|w| w.usable_for(problem));
     stats.warm = warm_usable;
 
-    // Table acquisition: a warm state carries the previous solve's
-    // compiled table plus the `Arc` behind each row, so only rows whose
-    // utility object changed are recompiled — at 1% drift that turns
-    // the largest O(n) fixed cost into an O(n) pointer scan.
-    let mut cache_used = false;
-    let table = match warm.as_deref_mut().filter(|w| {
-        warm_usable && w.cached.len() == n && w.table.len() == n
+    // Views and table: a warm state carries the previous solve's capped
+    // views and compiled table, so only rows whose utility object
+    // changed are rebuilt — at 1% drift that turns the largest O(n)
+    // fixed cost into an O(n) pointer scan.
+    let (utils, table) = match warm.as_deref_mut().filter(|w| {
+        warm_usable && w.views.len() == n && w.table.len() == n
     }) {
         Some(w) => {
-            cache_used = true;
+            let mut utils = std::mem::take(&mut w.views);
             let mut t = std::mem::take(&mut w.table);
             let mut patched = false;
-            for i in 0..n {
-                if !Arc::ptr_eq(&w.cached[i], &threads[i]) {
-                    t.patch(i, &utils[i]);
-                    w.cached[i] = threads[i].clone();
+            for (i, view) in utils.iter_mut().enumerate() {
+                if !view.wraps(&threads[i]) {
+                    *view = problem.capped_thread(i);
+                    t.patch(i, view);
                     patched = true;
                 }
             }
             if patched {
                 t.refresh_global();
             }
-            t
+            (utils, t)
         }
         None => {
+            let utils = problem.capped_threads();
             let mut t = DemandTable::new();
             t.compile(&utils);
-            t
+            (utils, t)
         }
     };
     let sum_caps: f64 = utils.iter().map(|u| u.cap()).sum();
@@ -411,7 +413,7 @@ pub fn solve_with(
     let lambda0 = warm_prices.map_or(1.0, |(l, _)| l);
 
     // Phase 1: global price discovery — one parallel sweep per probe,
-    // total summed sequentially for determinism.
+    // which also returns the probe's block-ordered demand total.
     let mut buf = vec![0.0f64; n];
     let mut last_swept = f64::NAN;
     let (lambda, converged) = {
@@ -421,9 +423,8 @@ pub fn solve_with(
                 b.check()?;
             }
             stats.iterations += 1;
-            par_sweep(&table, &utils, l, &mut buf);
             last_swept = l;
-            Ok(buf.iter().sum())
+            Ok(par_sweep(&table, &utils, l, &mut buf))
         })?
     };
     stats.converged = converged;
@@ -496,9 +497,7 @@ pub fn solve_with(
         w.prev_servers = m;
         w.prev_capacity = capacity;
         w.table = table;
-        if !cache_used {
-            w.cached = threads.to_vec();
-        }
+        w.views = utils;
         w.stats = stats;
     }
 
@@ -528,7 +527,12 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use aa_utility::{LogUtility, Power};
+    use aa_allocator::bisection::SUM_BLOCK;
+    use aa_utility::{DynUtility, LogUtility, Power};
+
+    /// Three full demand-total blocks and a ragged tail: sweeps fan out
+    /// and the total folds several blocks.
+    const MULTI_BLOCK: usize = 3 * SUM_BLOCK + 17;
 
     fn mixed_problem(n: usize, m: usize, capacity: f64) -> Problem {
         Problem::builder(m, capacity)
@@ -592,27 +596,52 @@ mod tests {
 
     #[test]
     fn warm_after_drift_patches_cache_and_stays_close() {
-        let p = mixed_problem(96, 6, 10.0);
-        let mut state = PriceWarmState::new();
-        let _ = solve_warm(&p, &mut state).unwrap();
-        // Replace a few threads; the warm solve must patch its cached
-        // table rows for exactly these and stay correct.
-        let mut threads: Vec<DynUtility> = p.threads().to_vec();
-        threads[3] = Arc::new(Power::new(9.0, 0.5, 20.0));
-        threads[40] = Arc::new(LogUtility::new(4.0, 2.0, 20.0));
-        let drifted = Problem::new(6, 10.0, threads).unwrap();
-        let warm = solve_warm(&drifted, &mut state).unwrap();
-        warm.validate(&drifted).unwrap();
-        assert!(state.last_stats().warm);
-        let cold = solve(&drifted);
-        cold.validate(&drifted).unwrap();
-        let (wu, cu) = (warm.total_utility(&drifted), cold.total_utility(&drifted));
-        assert!(wu >= 0.95 * cu, "warm utility {wu} too far below cold {cu}");
+        for n in [96, MULTI_BLOCK] {
+            let p = mixed_problem(n, 6, 10.0);
+            // Replace ~1% of the threads; the warm solve must patch its
+            // carried views and table rows for exactly these and stay
+            // correct.
+            let mut threads: Vec<DynUtility> = p.threads().to_vec();
+            for i in (3..n).step_by(n / (n / 100 + 2)) {
+                threads[i] = if i % 2 == 1 {
+                    Arc::new(Power::new(9.0, 0.5, 20.0))
+                } else {
+                    Arc::new(LogUtility::new(4.0, 2.0, 20.0))
+                };
+            }
+            let drifted = Problem::new(6, 10.0, threads).unwrap();
+            let drift = || {
+                let mut state = PriceWarmState::new();
+                let _ = solve_warm(&p, &mut state).unwrap();
+                // The same carried prices without the views and table:
+                // that solve rebuilds them from the drifted problem, and
+                // the patched ones must sweep exactly like them.
+                let mut rebuilt = state.clone();
+                rebuilt.views.clear();
+                let warm = solve_warm(&drifted, &mut state).unwrap();
+                let reference = solve_warm(&drifted, &mut rebuilt).unwrap();
+                assert_eq!(warm.server, reference.server, "n={n}");
+                assert_eq!(warm.amount, reference.amount, "n={n}");
+                (warm, state.last_stats())
+            };
+            let (warm, stats) = rayon::with_threads(1, drift);
+            warm.validate(&drifted).unwrap();
+            assert!(stats.warm, "n={n}");
+            for width in [2, 8] {
+                let (other, _) = rayon::with_threads(width, drift);
+                assert_eq!(warm.server, other.server, "n={n}, {width} threads");
+                assert_eq!(warm.amount, other.amount, "n={n}, {width} threads");
+            }
+            let cold = solve(&drifted);
+            cold.validate(&drifted).unwrap();
+            let (wu, cu) = (warm.total_utility(&drifted), cold.total_utility(&drifted));
+            assert!(wu >= 0.95 * cu, "n={n}: warm utility {wu} too far below cold {cu}");
+        }
     }
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let p = mixed_problem(5000, 8, 50.0);
+        let p = mixed_problem(MULTI_BLOCK, 8, 50.0);
         let base = rayon::with_threads(1, || solve(&p));
         for threads in [2, 8] {
             let other = rayon::with_threads(threads, || solve(&p));

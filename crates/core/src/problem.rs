@@ -175,6 +175,14 @@ pub struct CappedView {
     cap: f64,
 }
 
+impl CappedView {
+    /// Whether this view wraps `utility` itself (the same allocation,
+    /// not merely an equal curve).
+    pub(crate) fn wraps(&self, utility: &DynUtility) -> bool {
+        Arc::ptr_eq(&self.inner, utility)
+    }
+}
+
 impl Utility for CappedView {
     fn value(&self, x: f64) -> f64 {
         self.inner.value(clamp(x, 0.0, self.cap))

@@ -82,21 +82,33 @@ const FINITE_PROBES: usize = 16;
 /// say) is caught as long as the sliver spans ≥ 1/15 of the domain;
 /// the old `{0, cap/2, cap}` probe missed anything off those three
 /// points and let NaN poison the solve downstream.
+///
+/// From [`PAR_THRESHOLD`](aa_allocator::PAR_THRESHOLD) threads on, the
+/// screen fans out over the pool like a demand sweep; the error names
+/// the lowest offending thread either way.
 pub(crate) fn check_finite_utilities(problem: &Problem) -> Result<(), SolveError> {
-    for i in 0..problem.len() {
+    let n = problem.len();
+    let finite = |i: usize| {
         let cap = problem.effective_cap(i);
         if !cap.is_finite() {
-            return Err(SolveError::NonFiniteUtility { thread: i });
+            return false;
         }
         let step = cap / (FINITE_PROBES - 1) as f64;
-        for k in 0..FINITE_PROBES {
+        (0..FINITE_PROBES).all(|k| {
             let x = if k == FINITE_PROBES - 1 { cap } else { step * k as f64 };
-            if !problem.utility_of(i, x).is_finite() {
-                return Err(SolveError::NonFiniteUtility { thread: i });
-            }
-        }
+            problem.utility_of(i, x).is_finite()
+        })
+    };
+    let bad = if n < aa_allocator::PAR_THRESHOLD {
+        (0..n).find(|&i| !finite(i))
+    } else {
+        let ok: Vec<bool> = (0..n).into_par_iter().map(finite).collect();
+        ok.iter().position(|&ok| !ok)
+    };
+    match bad {
+        Some(thread) => Err(SolveError::NonFiniteUtility { thread }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// An AA solver: produces a feasible assignment for any problem.
@@ -560,21 +572,23 @@ mod tests {
         assert!(Algo2.try_solve(&p).is_ok());
     }
 
+    /// A curve that is NaN everywhere.
+    #[derive(Debug)]
+    struct Corrupt;
+    impl aa_utility::Utility for Corrupt {
+        fn value(&self, _x: f64) -> f64 {
+            f64::NAN
+        }
+        fn derivative(&self, _x: f64) -> f64 {
+            f64::NAN
+        }
+        fn cap(&self) -> f64 {
+            4.0
+        }
+    }
+
     #[test]
     fn try_solve_rejects_nan_curves() {
-        #[derive(Debug)]
-        struct Corrupt;
-        impl aa_utility::Utility for Corrupt {
-            fn value(&self, _x: f64) -> f64 {
-                f64::NAN
-            }
-            fn derivative(&self, _x: f64) -> f64 {
-                f64::NAN
-            }
-            fn cap(&self) -> f64 {
-                4.0
-            }
-        }
         let p = Problem::builder(2, 8.0)
             .thread(Arc::new(Power::new(1.0, 0.5, 8.0)))
             .thread(Arc::new(Corrupt))
@@ -629,6 +643,48 @@ mod tests {
             Algo2.try_solve(&p).unwrap_err(),
             SolveError::NonFiniteUtility { thread: 1 }
         );
+    }
+
+    #[test]
+    fn finite_screen_fans_out_and_names_the_lowest_thread() {
+        #[derive(Debug)]
+        struct NoCap;
+        impl aa_utility::Utility for NoCap {
+            fn value(&self, x: f64) -> f64 {
+                x.max(0.0).sqrt()
+            }
+            fn derivative(&self, x: f64) -> f64 {
+                0.5 / x.max(1e-12).sqrt()
+            }
+            fn cap(&self) -> f64 {
+                f64::NEG_INFINITY
+            }
+        }
+        // Three full fan-out blocks and a ragged tail; the bad threads
+        // sit in different pool chunks at widths 2 and 8.
+        let n = 3 * aa_allocator::PAR_THRESHOLD + 17;
+        let with = |bad: Vec<(usize, aa_utility::DynUtility)>| {
+            let mut threads: Vec<aa_utility::DynUtility> = (0..n)
+                .map(|i| Arc::new(Power::new(1.0 + (i % 5) as f64, 0.5, 8.0)) as _)
+                .collect();
+            for (i, u) in bad {
+                threads[i] = u;
+            }
+            Problem::new(4, 8.0, threads).unwrap()
+        };
+        let cases = [
+            (with(Vec::new()), None),
+            (with(vec![(9000, Arc::new(Corrupt)), (1000, Arc::new(Corrupt))]), Some(1000)),
+            (with(vec![(12_000, Arc::new(Corrupt)), (5000, Arc::new(NoCap))]), Some(5000)),
+            (with(vec![(300, Arc::new(Corrupt)), (n - 1, Arc::new(NoCap))]), Some(300)),
+        ];
+        for (p, want) in &cases {
+            let want = want.map_or(Ok(()), |thread| Err(SolveError::NonFiniteUtility { thread }));
+            for threads in [1, 2, 8] {
+                let got = rayon::with_threads(threads, || check_finite_utilities(p));
+                assert_eq!(got, want, "{threads} threads");
+            }
+        }
     }
 
     #[test]
